@@ -21,9 +21,10 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./...
 
-# Bench tier: serial-vs-parallel compute benchmarks (bench_test.go).
+# Bench tier: serial-vs-parallel compute benchmarks and the served-shape
+# detector scoring benchmark (bench_test.go).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchScore|BenchmarkTrainEpoch' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchScore|BenchmarkDetectorScore|BenchmarkTrainEpoch' -benchmem .
 
 # Broker bench tier: measures WAL append throughput/latency, consume
 # throughput, and end-to-end slice-vs-broker pipeline overhead, writing

@@ -330,6 +330,44 @@ func BenchmarkBatchScoreSerial(b *testing.B) { benchmarkBatchScore(b, 1) }
 // BenchmarkBatchScoreParallel4 scores the same 512 windows on 4 workers.
 func BenchmarkBatchScoreParallel4(b *testing.B) { benchmarkBatchScore(b, 4) }
 
+// detectorFixture caches a detector over a small Thunderbird event table
+// and that system's windows as event-id sequences.
+var (
+	detectorOnce    sync.Once
+	detectorFix     *core.Detector
+	detectorWindows [][]int
+)
+
+func detectorFixture() (*core.Detector, [][]int) {
+	detectorOnce.Do(func() {
+		cfg := core.DefaultConfig()
+		spec := logdata.Thunderbird()
+		seqs := logdata.Build(spec, 3, 3000/float64(spec.Lines), window.Default())
+		table := repr.BuildEventTable(seqs, lei.NewSimLLM(lei.Config{}), embed.New(cfg.EmbedDim))
+		detectorFix = core.NewDetector(core.NewModel(cfg, 3), table)
+		for _, s := range seqs.Samples {
+			detectorWindows = append(detectorWindows, s.EventIDs)
+		}
+	})
+	return detectorFix, detectorWindows
+}
+
+// BenchmarkDetectorScore prices the served shape of online scoring: the
+// pipeline scores completed windows 2×Parallelism at a time, so each op is
+// one 4-window ScoreSequences call (the batch a 2-worker process sends).
+// Reports us/window alongside the per-call allocations.
+func BenchmarkDetectorScore(b *testing.B) {
+	det, windows := detectorFixture()
+	const batch = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (i * batch) % (len(windows) - batch)
+		det.ScoreSequences(windows[lo : lo+batch])
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/window")
+}
+
 // trainFixture caches small source/target datasets for the training-step
 // benchmarks.
 var (

@@ -8,7 +8,6 @@ import (
 	"logsynergy/internal/metrics"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/repr"
-	"logsynergy/internal/tensor"
 )
 
 // Detector throughput metrics (obs.Default): scores-per-second falls out
@@ -69,32 +68,70 @@ func NewDetector(m *Model, table *repr.EventTable) *Detector {
 
 // ScoreSequence scores a single event-id sequence.
 func (d *Detector) ScoreSequence(eventIDs []int) float64 {
-	x := d.embed(eventIDs)
-	return d.Model.Score(x, 1)[0]
+	seqs := [][]int{eventIDs}
+	d.checkSequences(seqs)
+	var out [1]float64
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	d.scoreChunk(s, seqs, out[:])
+	return out[0]
 }
 
-// ScoreSequences scores a batch of event-id sequences, sharding the batch
-// across the tensor worker pool (online scoring is embarrassingly parallel:
-// the model and event table are read-only during inference). Scores are
-// returned in input order; sequences may have differing lengths. With
-// parallelism 1 this degrades to a serial loop over ScoreSequence.
+// ScoreSequences scores a batch of event-id sequences, splitting the batch
+// once into contiguous chunks across the tensor worker pool (online
+// scoring is embarrassingly parallel: the model and event table are
+// read-only during inference). Each worker embeds its chunk and scores it
+// with batched serial forwards. Scores are returned in input order;
+// sequences may have differing lengths. An empty batch returns nil.
 func (d *Detector) ScoreSequences(seqs [][]int) []float64 {
 	if len(seqs) == 0 {
 		return nil
 	}
 	start := time.Now()
+	d.checkSequences(seqs)
 	scores := make([]float64, len(seqs))
-	// Each forward pass is O(T·D·model) — far past any serial-fallback
-	// threshold, so size the work estimate to always shard when workers > 1.
-	work := len(seqs) * tensor.MinParallelWork()
-	tensor.ParallelRange(len(seqs), work, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			scores[i] = d.ScoreSequence(seqs[i])
-		}
+	splitWindows(len(seqs), func(s *scratch, lo, hi int) {
+		d.scoreChunk(s, seqs[lo:hi], scores[lo:hi])
 	})
 	scoresTotal.Add(int64(len(seqs)))
 	scoreBatchSeconds.ObserveSince(start)
 	return scores
+}
+
+// checkSequences panics, on the calling goroutine, on any sequence the
+// model cannot score: an empty one or an event id outside the table.
+func (d *Detector) checkSequences(seqs [][]int) {
+	rows := d.Table.Vectors.Rows()
+	for _, ids := range seqs {
+		d.Model.checkShape(len(ids), d.Table.Dim)
+		for _, id := range ids {
+			if id < 0 || id >= rows {
+				panic(fmt.Sprintf("core: event id %d outside table of %d events", id, rows))
+			}
+		}
+	}
+}
+
+// scoreChunk scores validated sequences into out, one batched forward per
+// run of consecutive same-length sequences.
+func (d *Detector) scoreChunk(s *scratch, seqs [][]int, out []float64) {
+	dim := d.Table.Dim
+	vecs := d.Table.Vectors.Data
+	for lo := 0; lo < len(seqs); {
+		t := len(seqs[lo])
+		hi := lo + 1
+		for hi < len(seqs) && len(seqs[hi]) == t {
+			hi++
+		}
+		s.x = grow(s.x, (hi-lo)*t*dim)
+		for i, ids := range seqs[lo:hi] {
+			for j, id := range ids {
+				copy(s.x[(i*t+j)*dim:(i*t+j+1)*dim], vecs[id*dim:(id+1)*dim])
+			}
+		}
+		d.Model.inferScores(s, s.x, hi-lo, t, out[lo:hi])
+		lo = hi
+	}
 }
 
 // BatchResult pairs one sequence's score with its report (nil when the
@@ -147,19 +184,6 @@ func (d *Detector) BuildReport(eventIDs []int, score float64) *Report {
 		rep.Interpretations = append(rep.Interpretations, in.Text)
 	}
 	return rep
-}
-
-// embed maps an event-id sequence to a [1,T,D] tensor via the event table.
-func (d *Detector) embed(eventIDs []int) *tensor.Tensor {
-	dim := d.Table.Dim
-	x := tensor.New(1, len(eventIDs), dim)
-	for j, id := range eventIDs {
-		if id < 0 || id >= d.Table.Vectors.Rows() {
-			panic(fmt.Sprintf("core: event id %d outside table of %d events", id, d.Table.Vectors.Rows()))
-		}
-		copy(x.Data[j*dim:(j+1)*dim], d.Table.Vectors.Data[id*dim:(id+1)*dim])
-	}
-	return x
 }
 
 // EvaluateDataset scores every sequence of a materialized dataset and

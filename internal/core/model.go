@@ -81,7 +81,9 @@ type forwardOut struct {
 	fsMean *nn.Node // [B,fd] pooled system-specific features (SUFE only)
 }
 
-// forward runs the full feature extractor.
+// forward runs the full feature extractor on the autodiff tape. Training
+// and the Features/SystemLogits diagnostics use it; online scoring runs the
+// bit-identical inference forward in infer.go instead.
 //
 // F fuses, per timestep, the transformer's contextual state h_t with a
 // projection of the raw event embedding x_t (a skip connection past the
@@ -184,29 +186,18 @@ func (m *Model) trainStep(x *tensor.Tensor, labels []float64, systems []int, dom
 	return out
 }
 
-// Score returns anomaly probabilities for a batch tensor [N,T,E],
-// processing in chunks of batch to bound memory. This is the online
-// detection path: F and C_anomaly only (paper §III-E).
+// Score returns anomaly probabilities for a batch tensor [N,T,E]. This is
+// the online detection path: F and C_anomaly only (paper §III-E), run by
+// the tape-free inference forward with whole windows sharded across the
+// tensor worker pool; each worker processes at most batch windows per
+// forward to bound its scratch memory.
 func (m *Model) Score(x *tensor.Tensor, batch int) []float64 {
-	n := x.Dim(0)
 	if batch <= 0 {
 		batch = 256
 	}
-	t, d := x.Dim(1), x.Dim(2)
-	stride := t * d
-	out := make([]float64, 0, n)
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		chunk := tensor.FromSlice(x.Data[start*stride:end*stride], end-start, t, d)
-		g := nn.NewGraph()
-		fwd := m.forward(g, g.Const(chunk), false)
-		for _, z := range fwd.logits.Value.Data {
-			out = append(out, 1/(1+math.Exp(-z)))
-		}
-	}
+	n := x.Dim(0)
+	out := make([]float64, n)
+	m.scoreRows(x.Data, n, x.Dim(1), x.Dim(2), batch, out)
 	return out
 }
 

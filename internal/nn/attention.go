@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"logsynergy/internal/tensor"
 )
@@ -154,6 +155,8 @@ type TransformerEncoder struct {
 	Proj   *Linear // input dim -> model dim (identity if dims equal: still learned)
 	Layers []*TransformerEncoderLayer
 	Dim    int
+
+	posMu  sync.Mutex             // guards posEnc: forwards run concurrently
 	posEnc map[int]*tensor.Tensor // cached by sequence length
 }
 
@@ -172,9 +175,12 @@ func NewTransformerEncoder(ps *ParamSet, prefix string, rng *rand.Rand, inDim, m
 	return e
 }
 
-// positional returns (and caches) the sinusoidal positional encoding table
-// for sequences of length t.
-func (e *TransformerEncoder) positional(t int) *tensor.Tensor {
+// Positional returns (and caches) the [t, Dim] sinusoidal positional
+// encoding table for sequences of length t. It is safe for concurrent use;
+// callers must not modify the table.
+func (e *TransformerEncoder) Positional(t int) *tensor.Tensor {
+	e.posMu.Lock()
+	defer e.posMu.Unlock()
 	if pe, ok := e.posEnc[t]; ok {
 		return pe
 	}
@@ -197,7 +203,7 @@ func (e *TransformerEncoder) positional(t int) *tensor.Tensor {
 func (e *TransformerEncoder) Forward(g *Graph, x *Node, rng *rand.Rand, train bool) *Node {
 	b, t := x.Value.Dim(0), x.Value.Dim(1)
 	h := e.Proj.Forward3D(g, x)
-	pe := e.positional(t)
+	pe := e.Positional(t)
 	peBatch := tensor.New(b, t, e.Dim)
 	for i := 0; i < b; i++ {
 		copy(peBatch.Data[i*t*e.Dim:(i+1)*t*e.Dim], pe.Data)

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"logsynergy/internal/tensor"
 )
@@ -30,9 +29,6 @@ func (g *Graph) SoftmaxLastDim(a *Node) *Node {
 	}, a)
 }
 
-// layerNormEps keeps the variance denominator away from zero.
-const layerNormEps = 1e-5
-
 // LayerNorm normalizes the final dimension of x to zero mean and unit
 // variance, then applies a learned affine transform gamma*x̂ + beta.
 // gamma and beta are vectors matching the final dimension.
@@ -47,25 +43,8 @@ func (g *Graph) LayerNorm(x, gamma, beta *Node) *Node {
 	xhat := tensor.New(x.Value.Shape...)
 	invStd := make([]float64, rows)
 	for r := 0; r < rows; r++ {
-		src := x.Value.Data[r*n : (r+1)*n]
-		mean := 0.0
-		for _, v := range src {
-			mean += v
-		}
-		mean /= float64(n)
-		varSum := 0.0
-		for _, v := range src {
-			d := v - mean
-			varSum += d * d
-		}
-		is := 1 / math.Sqrt(varSum/float64(n)+layerNormEps)
-		invStd[r] = is
-		xh := xhat.Data[r*n : (r+1)*n]
-		dst := out.Data[r*n : (r+1)*n]
-		for i, v := range src {
-			xh[i] = (v - mean) * is
-			dst[i] = gamma.Value.Data[i]*xh[i] + beta.Value.Data[i]
-		}
+		invStd[r] = tensor.LayerNormRow(out.Data[r*n:(r+1)*n], xhat.Data[r*n:(r+1)*n],
+			x.Value.Data[r*n:(r+1)*n], gamma.Value.Data, beta.Value.Data)
 	}
 	return g.add(out, func(gr *tensor.Tensor) {
 		if gamma.needsGrad {

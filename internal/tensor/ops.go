@@ -102,40 +102,75 @@ func MatMulInto(out, a, b *Tensor, accumulate bool) {
 
 // matMulInto dispatches between the serial kernel and the row-sharded
 // parallel path. Both produce bit-identical results: each output row is
-// always computed by matMulRows in the same per-row order, the parallel
+// always computed by MatMulRows in the same per-row order, the parallel
 // path merely assigns disjoint row spans to different workers.
 func matMulInto(out, a, b []float64, m, k, n int, accumulate bool) {
 	if !accumulate {
 		clear(out[:m*n])
 	}
 	ParallelRange(m, 2*m*k*n, func(lo, hi int) {
-		matMulRows(out, a, b, lo, hi, k, n)
+		MatMulRows(out, a, b, lo, hi, k, n)
 	})
 }
 
-// matMulRows is the ikj-ordered kernel computing output rows [i0,i1), with
-// a 4-way unrolled inner loop. It is the single source of truth for matrix
-// multiplication: serial and parallel entry points both land here.
-func matMulRows(out, a, b []float64, i0, i1, k, n int) {
+// MatMulRows is the kernel accumulating output rows [i0,i1) of a [m,k] @
+// b [k,n] into out (out += a@b on those rows). It is the single source of
+// truth for matrix multiplication: serial and parallel entry points both
+// land here, and the inference forward in internal/core calls it directly
+// (always serially) so its products are bit-identical to the autodiff
+// graph's. A single row of a strided matrix is passed as a one-row operand
+// (i0=0, i1=1).
+//
+// Its reduction order is fixed: each output element adds a[i,p]*b[p,j]
+// for p = 0..k-1 in order, skipping terms whose a[i,p] is zero, each add
+// rounded on its own. The nonzero terms are applied four b rows at a time
+// so the running sum stays in a register across them; that changes loads
+// and stores, not the sequence of rounded adds (pinned by
+// TestMatMulRowsBitIdenticalToNaive).
+func MatMulRows(out, a, b []float64, i0, i1, k, n int) {
+	var ps [4]int
+	var as [4]float64
 	for i := i0; i < i1; i++ {
 		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : i*n+n]
+		m := 0
 		for p, av := range arow {
 			if av == 0 {
 				continue
 			}
-			brow := b[p*n : p*n+n]
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				orow[j] += av * brow[j]
-				orow[j+1] += av * brow[j+1]
-				orow[j+2] += av * brow[j+2]
-				orow[j+3] += av * brow[j+3]
-			}
-			for ; j < n; j++ {
-				orow[j] += av * brow[j]
+			ps[m], as[m] = p, av
+			m++
+			if m == 4 {
+				axpy4(orow, as[0], as[1], as[2], as[3],
+					b[ps[0]*n:ps[0]*n+n], b[ps[1]*n:ps[1]*n+n], b[ps[2]*n:ps[2]*n+n], b[ps[3]*n:ps[3]*n+n])
+				m = 0
 			}
 		}
+		for q := 0; q < m; q++ {
+			axpy(orow, as[q], b[ps[q]*n:ps[q]*n+n])
+		}
+	}
+}
+
+// axpy4 computes o += a0*b0 + a1*b1 + a2*b2 + a3*b3, adding the terms to
+// each element in that order.
+func axpy4(o []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(o)], b1[:len(o)], b2[:len(o)], b3[:len(o)]
+	for j := range o {
+		v := o[j]
+		v += a0 * b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		o[j] = v
+	}
+}
+
+// axpy computes o += av*b.
+func axpy(o []float64, av float64, b []float64) {
+	b = b[:len(o)]
+	for j := range o {
+		o[j] += av * b[j]
 	}
 }
 
@@ -174,7 +209,7 @@ func BMM(a, b *Tensor) *Tensor {
 	ParallelRange(bs*m, 2*bs*m*k*n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			q, i := r/m, r%m
-			matMulRows(out.Data[q*m*n:(q+1)*m*n], a.Data[q*m*k:(q+1)*m*k], b.Data[q*k*n:(q+1)*k*n], i, i+1, k, n)
+			MatMulRows(out.Data[q*m*n:(q+1)*m*n], a.Data[q*m*k:(q+1)*m*k], b.Data[q*k*n:(q+1)*k*n], i, i+1, k, n)
 		}
 	})
 	return out
@@ -214,13 +249,15 @@ func SoftmaxLastDim(a *Tensor) *Tensor {
 	// ~4 scalar ops per element (max, exp, sum, divide); exp dominates.
 	ParallelRange(rows, 4*rows*n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			softmaxRow(out.Data[r*n:(r+1)*n], a.Data[r*n:(r+1)*n])
+			SoftmaxRow(out.Data[r*n:(r+1)*n], a.Data[r*n:(r+1)*n])
 		}
 	})
 	return out
 }
 
-func softmaxRow(dst, src []float64) {
+// SoftmaxRow writes the numerically stable softmax of src into dst. dst
+// may alias src.
+func SoftmaxRow(dst, src []float64) {
 	maxv := math.Inf(-1)
 	for _, v := range src {
 		if v > maxv {
@@ -236,6 +273,33 @@ func softmaxRow(dst, src []float64) {
 	for i := range dst {
 		dst[i] /= sum
 	}
+}
+
+// layerNormEps keeps the layer-norm variance denominator away from zero.
+const layerNormEps = 1e-5
+
+// LayerNormRow normalizes src to zero mean and unit variance, writing the
+// normalized values to xhat and gamma⊙x̂+beta to dst, and returns the row's
+// inverse standard deviation. Any of dst, xhat and src may alias: every
+// element of src is read before the same index is written.
+func LayerNormRow(dst, xhat, src, gamma, beta []float64) float64 {
+	n := len(src)
+	mean := 0.0
+	for _, v := range src {
+		mean += v
+	}
+	mean /= float64(n)
+	varSum := 0.0
+	for _, v := range src {
+		d := v - mean
+		varSum += d * d
+	}
+	is := 1 / math.Sqrt(varSum/float64(n)+layerNormEps)
+	for i, v := range src {
+		xhat[i] = (v - mean) * is
+		dst[i] = gamma[i]*xhat[i] + beta[i]
+	}
+	return is
 }
 
 // Sum returns the sum of all elements. Above the parallel threshold the sum

@@ -158,10 +158,10 @@ func ParallelRange(n, work int, fn func(lo, hi int)) {
 	// Fork with a helping join. The caller seeds spans-1 tasks, runs the
 	// last span itself, then — instead of parking until its spans finish —
 	// pulls and executes queued tasks (its own or another invocation's)
-	// while it waits. Helping makes nested ParallelRange calls (a batch
-	// scorer sharding sequences whose forward passes shard matmuls)
-	// deadlock-free: a joiner blocked on subtasks is always also a
-	// consumer of the queue those subtasks sit in.
+	// while it waits. Helping makes nested ParallelRange calls (a span
+	// that itself runs a parallel kernel) deadlock-free: a joiner blocked
+	// on subtasks is always also a consumer of the queue those subtasks
+	// sit in.
 	var pending atomic.Int64
 	pending.Store(int64(spans - 1))
 	done := make(chan struct{})

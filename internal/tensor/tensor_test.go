@@ -241,3 +241,65 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone must copy data")
 	}
 }
+
+// naiveMatMulRows is the reference reduction order MatMulRows must keep:
+// for every output element, add a[i,p]*b[p,j] for p = 0..k-1 in order,
+// skipping terms whose a[i,p] is zero, each add rounded on its own.
+func naiveMatMulRows(out, a, b []float64, i0, i1, k, n int) {
+	for i := i0; i < i1; i++ {
+		for p := 0; p < k; p++ {
+			av := a[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				out[i*n+j] += av * b[p*n+j]
+			}
+		}
+	}
+}
+
+// TestMatMulRowsBitIdenticalToNaive pins the blocked kernel to the
+// reference order bit for bit, over shapes that leave every remainder
+// path, with zeros, signed zeros and large magnitudes in the operands and
+// nonzero accumulators (including -0) in the output.
+func TestMatMulRowsBitIdenticalToNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	val := func() float64 {
+		switch r := rng.Intn(10); {
+		case r < 3:
+			return 0
+		case r == 3:
+			return math.Copysign(0, -1)
+		case r == 4:
+			return rng.NormFloat64() * 1e12
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	for _, m := range []int{1, 3} {
+		for k := 1; k <= 11; k++ {
+			for _, n := range []int{1, 3, 4, 7, 10, 16, 33} {
+				a, b := make([]float64, m*k), make([]float64, k*n)
+				for i := range a {
+					a[i] = val()
+				}
+				for i := range b {
+					b[i] = val()
+				}
+				got, want := make([]float64, m*n), make([]float64, m*n)
+				for i := range got {
+					got[i] = val()
+					want[i] = got[i]
+				}
+				MatMulRows(got, a, b, 0, m, k, n)
+				naiveMatMulRows(want, a, b, 0, m, k, n)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("m=%d k=%d n=%d: element %d is %v, reference %v", m, k, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
