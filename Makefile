@@ -60,9 +60,12 @@ rebalance-test:
 # stall on non-moving keys, double-write duplicate skipping across a
 # redelivery crash, and seeded crash injection at every per-key cutover
 # phase (each must resume on exactly one layout per key). Includes the
-# CLI/admin surface (`logsynergy rebalance -live`).
+# one journal format both paths share — validation at every decode,
+# legacy journals resuming through the driver — and the CLI/admin
+# surface (`logsynergy rebalance -live`).
 live-rebalance-test:
-	$(GO) test -race -count=1 -run 'TestLiveRebalance|TestOfflineRebalanceRefusesLiveJournal' ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestLiveRebalance|TestOfflineRebalanceRefusesLiveJournal|TestJournal|FuzzJournal' ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestJournal' ./internal/cluster/
 	$(GO) test -race -count=1 -run 'TestRunRebalanceLive|TestAdminRebalance' ./cmd/logsynergy/
 
 # Cluster tier: the cross-process fleet proof under the race detector —
@@ -128,11 +131,12 @@ cover:
 	echo "internal/pipeline mean function coverage: $$pct%"; \
 	awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/pipeline coverage $$pct% is below the 70% floor"; exit 1; }
 
-# Fuzz-smoke tier: a short randomized pass over the parser and window
-# fuzz targets (the checked-in seed corpora always run as part of
-# `make test`; this tier actually mutates).
+# Fuzz-smoke tier: a short randomized pass over the parser, window and
+# cutover-journal fuzz targets (the checked-in seed corpora always run as
+# part of `make test`; this tier actually mutates).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
+	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/shard/
 
 verify: vet test api-check chaos rebalance-test live-rebalance-test cluster-test cluster-live-test bench-broker-smoke bench-shard-smoke bench-cluster-smoke race

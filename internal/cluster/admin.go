@@ -102,6 +102,24 @@ func (n *Node) cutoverPost(w http.ResponseWriter, r *http.Request) bool {
 	return n.fenceEpoch(w, r)
 }
 
+// cutoverBody guards a cutover endpoint that takes a JSON body (POST,
+// epoch-fenced, at most limit bytes) and decodes it into v, answering 400
+// with "cutover <what>: <decode error>" when it does not parse. Returns
+// false when it wrote the refusal.
+func (n *Node) cutoverBody(w http.ResponseWriter, r *http.Request, limit int64, v any, what string) bool {
+	if !n.cutoverPost(w, r) {
+		return false
+	}
+	if err := json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(v); err != nil {
+		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
+			Code:    httpapi.CodeBadRequest,
+			Message: "cutover " + what + ": " + err.Error(),
+		})
+		return false
+	}
+	return true
+}
+
 // conflict writes the uniform 409 envelope for a refused cutover step.
 func conflict(w http.ResponseWriter, err error) {
 	httpapi.Error(w, http.StatusConflict, httpapi.Detail{Code: httpapi.CodeConflict, Message: err.Error()})
@@ -115,15 +133,8 @@ func answerJSON(w http.ResponseWriter, v any) {
 // handleCutoverBegin is POST /admin/v1/cutover/begin (body:
 // shard.CutoverSpec): flip this node into the journaled live cutover.
 func (n *Node) handleCutoverBegin(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
 	var spec shard.CutoverSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: "cutover begin body is not a CutoverSpec: " + err.Error(),
-		})
+	if !n.cutoverBody(w, r, 1<<20, &spec, "begin body is not a CutoverSpec") {
 		return
 	}
 	res, err := n.beginCutover(spec)
@@ -170,17 +181,10 @@ func (n *Node) beginCutover(spec shard.CutoverSpec) (*shard.CutoverBeginResult, 
 // {"keys": {key: "committed"|"released"}}): advance per-key phases from
 // the coordinator's journal.
 func (n *Node) handleCutoverSync(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
 	var body struct {
 		Keys map[string]string `json:"keys"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&body); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: "cutover sync body is not a key-phase map: " + err.Error(),
-		})
+	if !n.cutoverBody(w, r, 8<<20, &body, "sync body is not a key-phase map") {
 		return
 	}
 	if err := n.rt.SyncCutover(body.Keys); err != nil {
@@ -208,16 +212,26 @@ func (n *Node) handleCutoverKeys(w http.ResponseWriter, r *http.Request) {
 	answerJSON(w, map[string][]string{"keys": keys})
 }
 
+// cutoverKey guards a per-key cutover endpoint (POST, epoch-fenced)
+// and reads its ?key=. Returns false when it wrote the refusal.
+func (n *Node) cutoverKey(w http.ResponseWriter, r *http.Request, verb string) (string, bool) {
+	if !n.cutoverPost(w, r) {
+		return "", false
+	}
+	key := r.URL.Query().Get("key")
+	if key == "" {
+		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: verb + " needs ?key="})
+		return "", false
+	}
+	return key, true
+}
+
 // handleCutoverCapture is POST /admin/v1/cutover/capture?key=K: capture
 // the key's splice from its donor partition. Refused (409, retryable)
 // until the donor has consumed through its freeze point.
 func (n *Node) handleCutoverCapture(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: "capture needs ?key="})
+	key, ok := n.cutoverKey(w, r, "capture")
+	if !ok {
 		return
 	}
 	sp, err := n.rt.CaptureKey(key)
@@ -234,15 +248,8 @@ func (n *Node) handleCutoverCapture(w http.ResponseWriter, r *http.Request) {
 // shard.KeySplice) — the transfer endpoint: durably write a captured
 // splice into the destination partition's directory.
 func (n *Node) handleCutoverStage(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
 	var sp shard.KeySplice
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSpliceBytes)).Decode(&sp); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{
-			Code:    httpapi.CodeBadRequest,
-			Message: "cutover stage body is not a KeySplice: " + err.Error(),
-		})
+	if !n.cutoverBody(w, r, maxSpliceBytes, &sp, "stage body is not a KeySplice") {
 		return
 	}
 	if err := n.rt.StageSplice(sp); err != nil {
@@ -252,40 +259,22 @@ func (n *Node) handleCutoverStage(w http.ResponseWriter, r *http.Request) {
 	answerJSON(w, map[string]string{"staged": sp.Key})
 }
 
-// handleCutoverInstall is POST /admin/v1/cutover/install?key=K: apply
-// the key's staged splice to the live destination partition.
-func (n *Node) handleCutoverInstall(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
+// handleKeyVerb serves a per-key cutover step answering {done: key}:
+// POST /admin/v1/cutover/install?key=K applies the key's staged splice
+// to the live destination partition, POST /admin/v1/cutover/forget?key=K
+// drops the moved key's tail from its donor partition.
+func (n *Node) handleKeyVerb(verb, done string, step func(key string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		key, ok := n.cutoverKey(w, r, verb)
+		if !ok {
+			return
+		}
+		if err := step(key); err != nil {
+			conflict(w, err)
+			return
+		}
+		answerJSON(w, map[string]string{done: key})
 	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: "install needs ?key="})
-		return
-	}
-	if err := n.rt.InstallSplice(key); err != nil {
-		conflict(w, err)
-		return
-	}
-	answerJSON(w, map[string]string{"installed": key})
-}
-
-// handleCutoverForget is POST /admin/v1/cutover/forget?key=K: drop the
-// moved key's tail from its donor partition.
-func (n *Node) handleCutoverForget(w http.ResponseWriter, r *http.Request) {
-	if !n.cutoverPost(w, r) {
-		return
-	}
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		httpapi.Error(w, http.StatusBadRequest, httpapi.Detail{Code: httpapi.CodeBadRequest, Message: "forget needs ?key="})
-		return
-	}
-	if err := n.rt.ForgetKey(key); err != nil {
-		conflict(w, err)
-		return
-	}
-	answerJSON(w, map[string]string{"forgotten": key})
 }
 
 // handleCutoverFinish is POST /admin/v1/cutover/finish?to=N: restamp

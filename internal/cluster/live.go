@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -20,11 +19,12 @@ import (
 )
 
 // Networked live rebalancing: grow a running fleet N -> N+1 partitions
-// under traffic, driving the in-process journaled per-key cutover
-// (internal/shard/live.go) over the admin API. The router is the
-// coordinator; the journal lives in the cluster directory next to
-// cluster.json and is the single source of truth for crash recovery on
-// every participant:
+// under traffic. The router coordinates: it runs the same
+// shard.CutoverDriver as the in-process path, with one nodeParticipant
+// per node (each verb a call on the node's /admin/v1/cutover/* surface),
+// its routing gate as the driver's gate, and the journal in the cluster
+// directory next to cluster.json — the single source of truth for crash
+// recovery on every participant:
 //
 //   - a NODE restarting mid-cutover reads the journal via StartNode and
 //     opens straight into the protocol state (donors at the old layout
@@ -46,75 +46,23 @@ import (
 // line ever sits past a donor's freeze point without a destination
 // copy.
 
-// cutoverJournalName is the journal file next to cluster.json.
-const cutoverJournalName = "live-cutover.json"
-
-// clusterJournal is the cluster-level live-cutover journal. It extends
-// the in-process journal's shape with the destination node, so every
-// participant (and any router) can reconstruct the full topology of the
-// move from the file alone.
-type clusterJournal struct {
-	Version int `json:"version"`
-	From    int `json:"from"`
-	To      int `json:"to"`
-	Vnodes  int `json:"vnodes"`
-	// DestNode hosts the new partition To-1 until the manifest bump
-	// assigns it there permanently.
-	DestNode string `json:"dest_node"`
-	// Freeze maps donor partition -> first double-written offset,
-	// captured on the owning nodes at begin.
-	Freeze map[int]uint64 `json:"freeze"`
-	// Keys is the per-key ledger: key -> "committed" | "released";
-	// pending keys are absent.
-	Keys map[string]string `json:"keys"`
+// journalPath locates the cutover journal next to the manifest.
+func journalPath(manifestPath string) string {
+	return filepath.Join(filepath.Dir(manifestPath), shard.JournalName)
 }
 
-// clusterJournalPath locates the journal next to the manifest.
-func clusterJournalPath(manifestPath string) string {
-	return filepath.Join(filepath.Dir(manifestPath), cutoverJournalName)
-}
-
-// loadClusterJournal reads the journal, nil when none exists.
-func loadClusterJournal(path string) (*clusterJournal, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
+// loadJournal reads and validates the fleet's cutover journal against
+// the manifest, nil when none exists. A fleet journal must name a
+// destination node the manifest knows.
+func loadJournal(manifestPath string, m *Manifest) (*shard.Journal, error) {
+	j, err := shard.LoadJournal(journalPath(manifestPath), m.Vnodes)
+	if err != nil || j == nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reading cutover journal: %w", err)
+	if _, ok := m.Nodes[j.DestNode]; !ok {
+		return nil, fmt.Errorf("cluster: cutover journal names destination node %q, which is not in the manifest (nodes: %v)", j.DestNode, m.NodeNames())
 	}
-	var j clusterJournal
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("cluster: corrupt cutover journal %s: %w", path, err)
-	}
-	if j.To != j.From+1 || j.From < 1 || j.DestNode == "" {
-		return nil, fmt.Errorf("cluster: cutover journal %s is inconsistent (%d -> %d, dest %q)", path, j.From, j.To, j.DestNode)
-	}
-	return &j, nil
-}
-
-// saveClusterJournal writes the journal with the manifest's atomic
-// rename + fsync discipline — each per-key commit must be durable
-// before the key's destination copy is the one detection consumes.
-func saveClusterJournal(path string, j *clusterJournal) error {
-	data, err := json.MarshalIndent(j, "", "  ")
-	if err != nil {
-		return fmt.Errorf("cluster: encoding cutover journal: %w", err)
-	}
-	return atomicWriteFile(path, append(data, '\n'))
-}
-
-// removeClusterJournal deletes the journal — the cutover's commit point
-// — and syncs the directory so the removal survives a crash.
-func removeClusterJournal(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("cluster: removing cutover journal: %w", err)
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return j, nil
 }
 
 // routeCutover is the router's routing overlay while a cutover is in
@@ -130,7 +78,7 @@ type routeCutover struct {
 	released map[string]bool
 }
 
-func newRouteCutover(j *clusterJournal) *routeCutover {
+func newRouteCutover(j *shard.Journal) *routeCutover {
 	rc := &routeCutover{
 		from:     j.From,
 		to:       j.To,
@@ -140,7 +88,7 @@ func newRouteCutover(j *clusterJournal) *routeCutover {
 		released: map[string]bool{},
 	}
 	for k, ph := range j.Keys {
-		if ph == "released" {
+		if ph == shard.PhaseReleased {
 			rc.released[k] = true
 		}
 	}
@@ -175,11 +123,11 @@ func (r *Router) reloadCutover() {
 	if r.cfg.ManifestPath == "" {
 		return
 	}
-	j, err := loadClusterJournal(clusterJournalPath(r.cfg.ManifestPath))
+	m := r.Manifest()
+	j, err := loadJournal(r.cfg.ManifestPath, m)
 	if err != nil {
 		return
 	}
-	m := r.Manifest()
 	cur := r.rcut.Load()
 	if j == nil || j.To <= m.Shards {
 		if cur != nil {
@@ -189,7 +137,7 @@ func (r *Router) reloadCutover() {
 	}
 	if cur != nil && cur.from == j.From && cur.to == j.To {
 		for k, ph := range j.Keys {
-			if ph == "released" {
+			if ph == shard.PhaseReleased {
 				cur.release(k)
 			}
 		}
@@ -214,58 +162,108 @@ func (r *Router) LiveRebalance(to int, destNode string) (*shard.RebalanceReport,
 	}
 	start := time.Now()
 	_ = r.Reload() // freshest view; also installs the overlay from any existing journal
-	jpath := clusterJournalPath(r.cfg.ManifestPath)
-	j, err := loadClusterJournal(jpath)
+	m := r.Manifest()
+	j, err := loadJournal(r.cfg.ManifestPath, m)
 	if err != nil {
 		return nil, err
 	}
-	m := r.Manifest()
-
-	if j == nil && m.Shards == to {
+	fresh := j == nil
+	switch {
+	case fresh && m.Shards == to:
 		return &shard.RebalanceReport{From: to, To: to, Dir: m.Dir, AlreadyBalanced: true}, nil
-	}
-	if j != nil && j.To != to {
-		return nil, fmt.Errorf("cluster: a live cutover %d -> %d is journaled; finish it before asking for %d partitions", j.From, j.To, to)
-	}
-	if j == nil {
-		if to != m.Shards+1 {
-			return nil, fmt.Errorf("cluster: live rebalance grows one partition at a time; fleet serves %d, asked for %d", m.Shards, to)
-		}
+	case fresh && to != m.Shards+1:
+		return nil, fmt.Errorf("cluster: live rebalance grows one partition at a time; fleet serves %d, asked for %d", m.Shards, to)
+	case fresh:
 		if destNode == "" {
 			destNode = pickDestNode(m)
 		} else if _, ok := m.Nodes[destNode]; !ok {
 			return nil, fmt.Errorf("cluster: destination node %q is not in the manifest (nodes: %v)", destNode, m.NodeNames())
 		}
-		j, err = r.beginFleet(m, to, destNode)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		destNode = j.DestNode
-		if m.Shards != j.To {
-			// Mid-drive resume: re-begin every participant with the
-			// journaled freezes and phases, then keep driving.
-			if err := r.resumeFleet(m, j); err != nil {
-				return nil, err
-			}
-		}
-		// m.Shards == j.To: the manifest bump landed but the journal
-		// removal did not — finish-only.
+		j = &shard.Journal{Version: 1, From: m.Shards, To: to, Vnodes: m.Vnodes, DestNode: destNode, Keys: map[string]string{}}
+	case j.To != to:
+		return nil, fmt.Errorf("cluster: a live cutover %d -> %d is journaled; finish it before asking for %d partitions", j.From, j.To, to)
 	}
 
+	d := r.fleetDriver(m, j)
 	report := &shard.RebalanceReport{From: j.From, To: j.To, Dir: m.Dir}
+	// m.Shards == j.To: the manifest bump landed but the journal removal
+	// did not — finish-only. Otherwise flip (fresh) or re-begin every
+	// participant with the journaled freezes and phases, then drive.
 	if m.Shards != j.To {
-		moved, lines, err := r.driveFleet(m, j, jpath)
-		if err != nil {
+		if err := d.Begin(fresh); err != nil {
 			return nil, err
 		}
-		report.MovedKeys, report.MovedLines = moved, lines
+		if report.MovedKeys, report.MovedLines, err = d.Drive(); err != nil {
+			return nil, err
+		}
 	}
-	if err := r.finishFleet(m, j, jpath); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, err
+	}
+	// Best-effort immediate adoption of the new epoch fleet-wide; a node
+	// that misses the poke catches up through the data-path epoch fence.
+	final := r.Manifest()
+	for _, name := range final.NodeNames() {
+		_ = r.pokeRefresh(final.Nodes[name].Addr)
 	}
 	report.Duration = time.Since(start)
 	return report, nil
+}
+
+// fleetDriver assembles the cutover driver over the journal's
+// participants. Begun installs the routing overlay, Released flips a key
+// to destination-only routing, and Commit installs the epoch-bumped
+// manifest with the new shard count (the journal's removal follows).
+func (r *Router) fleetDriver(m *Manifest, j *shard.Journal) *shard.CutoverDriver {
+	byName := map[string]shard.Participant{}
+	var all []shard.Participant
+	for _, name := range participants(m, j.From, j.DestNode) {
+		p := &nodeParticipant{r: r, name: name, addr: m.Nodes[name].Addr}
+		byName[name] = p
+		all = append(all, p)
+	}
+	return &shard.CutoverDriver{
+		Journal:      j,
+		Path:         journalPath(r.cfg.ManifestPath),
+		Gate:         &r.gate,
+		Participants: all,
+		Owner: func(p int) shard.Participant {
+			if p == j.To-1 {
+				return byName[j.DestNode]
+			}
+			return byName[m.NodeFor(p)]
+		},
+		Hook: r.liveHook,
+		Begun: func() {
+			if cur := r.rcut.Load(); cur == nil || cur.from != j.From || cur.to != j.To {
+				r.rcut.Store(newRouteCutover(j))
+			}
+		},
+		Released: func(key string) {
+			if rc := r.rcut.Load(); rc != nil {
+				rc.release(key)
+			}
+		},
+		Commit: func() error {
+			if cur := r.Manifest(); cur.Shards != j.To {
+				nm := cur.Clone()
+				nm.Epoch++
+				nm.Shards = j.To
+				nm.Assignments = append(nm.Assignments, j.DestNode)
+				if err := Save(r.cfg.ManifestPath, nm); err != nil {
+					return err
+				}
+				r.mu.Lock()
+				err := r.installLocked(nm)
+				r.mu.Unlock()
+				if err != nil {
+					return err
+				}
+			}
+			r.rcut.Store(nil)
+			return nil
+		},
+	}
 }
 
 // pickDestNode chooses the node owning the fewest partitions
@@ -294,289 +292,6 @@ func participants(m *Manifest, from int, destNode string) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// beginFleet runs the fresh flip: with routing gated, every participant
-// begins the cutover (the destination node first opens and fences the
-// new partition; each node captures freeze offsets for its donors under
-// its route write lock), and only when every begin has answered is the
-// journal written and double-write routing installed. A begin that
-// fails leaves no journal — the begun nodes' gating causes retryable
-// rejections until they restart, but nothing is ever lost and nothing
-// resumes: the cleanest abort.
-func (r *Router) beginFleet(m *Manifest, to int, destNode string) (*clusterJournal, error) {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	from := m.Shards
-	freeze := map[int]uint64{}
-	for _, name := range participants(m, from, destNode) {
-		spec := shard.CutoverSpec{From: from, To: to, Vnodes: m.Vnodes, Dest: name == destNode}
-		res, err := r.beginNode(m, name, spec)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: beginning cutover on node %q: %w", name, err)
-		}
-		for p, off := range res.Freeze {
-			freeze[p] = off
-		}
-	}
-	for p := 0; p < from; p++ {
-		if _, ok := freeze[p]; !ok {
-			return nil, fmt.Errorf("cluster: no node reported a freeze offset for donor partition %d", p)
-		}
-	}
-	j := &clusterJournal{Version: 1, From: from, To: to, Vnodes: m.Vnodes, DestNode: destNode, Freeze: freeze, Keys: map[string]string{}}
-	if err := saveClusterJournal(clusterJournalPath(r.cfg.ManifestPath), j); err != nil {
-		return nil, err
-	}
-	r.rcut.Store(newRouteCutover(j))
-	return j, nil
-}
-
-// resumeFleet re-begins every participant from the journal (idempotent
-// on nodes already in the cutover; nodes that restarted since re-enter
-// it with the journaled freezes and phases) and installs the routing
-// overlay.
-func (r *Router) resumeFleet(m *Manifest, j *clusterJournal) error {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	for _, name := range participants(m, j.From, j.DestNode) {
-		spec := shard.CutoverSpec{From: j.From, To: j.To, Vnodes: j.Vnodes, Freeze: j.Freeze, Keys: j.Keys, Dest: name == j.DestNode}
-		if _, err := r.beginNode(m, name, spec); err != nil {
-			return fmt.Errorf("cluster: resuming cutover on node %q: %w", name, err)
-		}
-	}
-	if cur := r.rcut.Load(); cur == nil || cur.from != j.From || cur.to != j.To {
-		r.rcut.Store(newRouteCutover(j))
-	}
-	return nil
-}
-
-// driveFleet runs the per-key cutover sequence over the network until
-// no donor holds a pending moving key. Keys already journaled
-// "committed" are rolled forward first (install + forget + release) —
-// exactly one layout owns each key at every step, resumable from any
-// crash point.
-func (r *Router) driveFleet(m *Manifest, j *clusterJournal, jpath string) (movedKeys, movedLines int, err error) {
-	rc := r.rcut.Load()
-	if rc == nil {
-		return 0, 0, fmt.Errorf("cluster: no routing overlay installed for the cutover")
-	}
-	committed := make([]string, 0, len(j.Keys))
-	for k, ph := range j.Keys {
-		if ph == "committed" {
-			committed = append(committed, k)
-		}
-	}
-	sort.Strings(committed)
-	for _, k := range committed {
-		if err := r.rollForward(m, j, jpath, rc, k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		movedKeys++
-	}
-	for {
-		pending, err := r.pendingFleetKeys(m, j)
-		if err != nil {
-			return movedKeys, movedLines, err
-		}
-		if len(pending) == 0 {
-			return movedKeys, movedLines, nil
-		}
-		for _, k := range pending {
-			lines, err := r.moveFleetKey(m, j, jpath, rc, k)
-			if err != nil {
-				return movedKeys, movedLines, err
-			}
-			movedKeys++
-			movedLines += lines
-		}
-	}
-}
-
-// pendingFleetKeys unions every donor node's pending moving keys.
-func (r *Router) pendingFleetKeys(m *Manifest, j *clusterJournal) ([]string, error) {
-	seen := map[string]bool{}
-	var keys []string
-	for _, name := range participants(m, j.From, j.DestNode) {
-		var body struct {
-			Keys []string `json:"keys"`
-		}
-		err := r.adminRetry(fmt.Sprintf("listing pending keys on node %q", name), func() error {
-			return r.adminJSON(http.MethodGet, m.Nodes[name].Addr, httpapi.Prefix+"/cutover/keys", nil, &body)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range body.Keys {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// moveFleetKey cuts one pending key over across the network: capture
-// on the donor's node (refused until the donor consumed through its
-// freeze point — the capture retry loop is the networked await), stage
-// on the destination's, commit in the journal, install, forget,
-// release. The per-key order of operations is identical to the
-// in-process moveKey; only the transport changed.
-func (r *Router) moveFleetKey(m *Manifest, j *clusterJournal, jpath string, rc *routeCutover, key string) (int, error) {
-	donorNode := m.NodeFor(rc.oldRing.Partition(key))
-	donorAddr := m.Nodes[donorNode].Addr
-	destAddr := m.Nodes[j.DestNode].Addr
-	if err := r.callLiveHook("double-write", key); err != nil {
-		return 0, err
-	}
-
-	var sp shard.KeySplice
-	err := r.adminRetry(fmt.Sprintf("capturing key %q on node %q", key, donorNode), func() error {
-		return r.adminJSON(http.MethodPost, donorAddr, httpapi.Prefix+"/cutover/capture?key="+queryEscape(key), nil, &sp)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.callLiveHook("tail-landed", key); err != nil {
-		return 0, err
-	}
-
-	err = r.adminRetry(fmt.Sprintf("staging key %q on node %q", key, j.DestNode), func() error {
-		return r.adminJSON(http.MethodPost, destAddr, httpapi.Prefix+"/cutover/stage", sp, nil)
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.callLiveHook("staged", key); err != nil {
-		return 0, err
-	}
-
-	// Commit: from here the key is destination-owned and any recovery
-	// rolls it forward.
-	j.Keys[key] = "committed"
-	if err := saveClusterJournal(jpath, j); err != nil {
-		return 0, err
-	}
-	r.syncFleetKey(m, j, key, "committed", donorNode)
-	if err := r.callLiveHook("committed", key); err != nil {
-		return 0, err
-	}
-
-	if err := r.rollForward(m, j, jpath, rc, key); err != nil {
-		return 0, err
-	}
-	return len(sp.Tail.Lines), nil
-}
-
-// rollForward takes a journaled-committed key the rest of the way:
-// install the staged splice on the destination, forget the tail on the
-// donor, journal "released", and stop double-writing it.
-func (r *Router) rollForward(m *Manifest, j *clusterJournal, jpath string, rc *routeCutover, key string) error {
-	donorNode := m.NodeFor(rc.oldRing.Partition(key))
-	donorAddr := m.Nodes[donorNode].Addr
-	destAddr := m.Nodes[j.DestNode].Addr
-
-	err := r.adminRetry(fmt.Sprintf("installing key %q on node %q", key, j.DestNode), func() error {
-		return r.adminJSON(http.MethodPost, destAddr, httpapi.Prefix+"/cutover/install?key="+queryEscape(key), nil, nil)
-	})
-	if err != nil {
-		return err
-	}
-	err = r.adminRetry(fmt.Sprintf("forgetting key %q on node %q", key, donorNode), func() error {
-		return r.adminJSON(http.MethodPost, donorAddr, httpapi.Prefix+"/cutover/forget?key="+queryEscape(key), nil, nil)
-	})
-	if err != nil {
-		return err
-	}
-
-	j.Keys[key] = "released"
-	if err := saveClusterJournal(jpath, j); err != nil {
-		return err
-	}
-	r.syncFleetKey(m, j, key, "released", donorNode)
-	rc.release(key)
-	return r.callLiveHook("released", key)
-}
-
-// syncFleetKey pokes the key's donor and destination nodes with its new
-// journal phase. Best-effort with retries: a node that stays down
-// re-reads the journal at restart, so the poke is an optimization (it
-// unparks the destination's consumer now instead of then), not a
-// correctness step.
-func (r *Router) syncFleetKey(m *Manifest, j *clusterJournal, key, phase, donorNode string) {
-	body := map[string]map[string]string{"keys": {key: phase}}
-	for _, name := range []string{donorNode, j.DestNode} {
-		addr := m.Nodes[name].Addr
-		_ = r.adminRetry(fmt.Sprintf("syncing key %q on node %q", key, name), func() error {
-			return r.adminJSON(http.MethodPost, addr, httpapi.Prefix+"/cutover/sync", body, nil)
-		})
-		if name == donorNode && donorNode == j.DestNode {
-			break
-		}
-	}
-}
-
-// finishFleet ends the cutover: with routing gated, every participant
-// restamps at the new layout (idempotent), the epoch-bumped manifest
-// with the new shard count installs, and the journal is removed — the
-// commit point. Every node is then poked to refresh; one that misses
-// the poke catches up through the data-path epoch fence.
-func (r *Router) finishFleet(m *Manifest, j *clusterJournal, jpath string) error {
-	if err := r.callLiveHook("finish", ""); err != nil {
-		return err
-	}
-	r.gate.Lock()
-	for _, name := range participants(m, j.From, j.DestNode) {
-		addr := m.Nodes[name].Addr
-		err := r.adminRetry(fmt.Sprintf("finishing cutover on node %q", name), func() error {
-			return r.adminJSON(http.MethodPost, addr, httpapi.Prefix+fmt.Sprintf("/cutover/finish?to=%d", j.To), nil, nil)
-		})
-		if err != nil {
-			r.gate.Unlock()
-			return err
-		}
-	}
-	cur := r.Manifest()
-	if cur.Shards != j.To {
-		nm := cur.Clone()
-		nm.Epoch++
-		nm.Shards = j.To
-		nm.Assignments = append(nm.Assignments, j.DestNode)
-		if err := Save(r.cfg.ManifestPath, nm); err != nil {
-			r.gate.Unlock()
-			return err
-		}
-		r.mu.Lock()
-		if err := r.installLocked(nm); err != nil {
-			r.mu.Unlock()
-			r.gate.Unlock()
-			return err
-		}
-		r.mu.Unlock()
-	}
-	if err := removeClusterJournal(jpath); err != nil {
-		r.gate.Unlock()
-		return err
-	}
-	r.rcut.Store(nil)
-	r.gate.Unlock()
-
-	// Best-effort immediate adoption of the new epoch fleet-wide.
-	final := r.Manifest()
-	for _, name := range final.NodeNames() {
-		_ = r.pokeRefresh(final.Nodes[name].Addr)
-	}
-	return nil
-}
-
-// callLiveHook fires the router's test hook (nil in production).
-func (r *Router) callLiveHook(phase, key string) error {
-	if r.liveHook == nil {
-		return nil
-	}
-	return r.liveHook(phase, key)
 }
 
 // adminRetry retries fn against transient failures (a node restarting
@@ -647,19 +362,62 @@ func (r *Router) adminJSON(method, addr, path string, in, out any) error {
 	return nil
 }
 
-// beginNode POSTs one node's cutover/begin with retries.
-func (r *Router) beginNode(m *Manifest, name string, spec shard.CutoverSpec) (*shard.CutoverBeginResult, error) {
-	var res shard.CutoverBeginResult
-	err := r.adminRetry(fmt.Sprintf("cutover/begin on node %q", name), func() error {
-		return r.adminJSON(http.MethodPost, m.Nodes[name].Addr, httpapi.Prefix+"/cutover/begin", spec, &res)
+// nodeParticipant is one fleet node's side of a live cutover: each
+// verb is one call on the node's /admin/v1/cutover/* surface, retried
+// through transient failures (the verbs are idempotent on the node).
+type nodeParticipant struct {
+	r          *Router
+	name, addr string
+}
+
+// call performs one retried admin round trip against the node.
+func (p *nodeParticipant) call(desc, method, path string, in, out any) error {
+	return p.r.adminRetry(fmt.Sprintf("%s on node %q", desc, p.name), func() error {
+		return p.r.adminJSON(method, p.addr, httpapi.Prefix+"/cutover/"+path, in, out)
 	})
-	if err != nil {
+}
+
+func (p *nodeParticipant) BeginCutover(spec shard.CutoverSpec) (*shard.CutoverBeginResult, error) {
+	var res shard.CutoverBeginResult
+	if err := p.call("beginning cutover", http.MethodPost, "begin", spec, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
-func queryEscape(s string) string { return url.QueryEscape(s) }
+func (p *nodeParticipant) SyncCutover(keys map[string]string) error {
+	return p.call("syncing cutover phases", http.MethodPost, "sync", map[string]map[string]string{"keys": keys}, nil)
+}
+
+func (p *nodeParticipant) PendingMovingKeys() ([]string, error) {
+	var body struct {
+		Keys []string `json:"keys"`
+	}
+	err := p.call("listing pending keys", http.MethodGet, "keys", nil, &body)
+	return body.Keys, err
+}
+
+func (p *nodeParticipant) CaptureKey(key string) (shard.KeySplice, error) {
+	var sp shard.KeySplice
+	err := p.call(fmt.Sprintf("capturing key %q", key), http.MethodPost, "capture?key="+url.QueryEscape(key), nil, &sp)
+	return sp, err
+}
+
+func (p *nodeParticipant) StageSplice(sp shard.KeySplice) error {
+	return p.call(fmt.Sprintf("staging key %q", sp.Key), http.MethodPost, "stage", sp, nil)
+}
+
+func (p *nodeParticipant) InstallSplice(key string) error {
+	return p.call(fmt.Sprintf("installing key %q", key), http.MethodPost, "install?key="+url.QueryEscape(key), nil, nil)
+}
+
+func (p *nodeParticipant) ForgetKey(key string) error {
+	return p.call(fmt.Sprintf("forgetting key %q", key), http.MethodPost, "forget?key="+url.QueryEscape(key), nil, nil)
+}
+
+func (p *nodeParticipant) CompleteCutover(to int) error {
+	return p.call("finishing cutover", http.MethodPost, fmt.Sprintf("finish?to=%d", to), nil, nil)
+}
 
 // RouterCutoverStatus is the live-rebalance progress block of the
 // router's status answer, read from the journal.
@@ -692,16 +450,9 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		st.Nodes[name] = !nodes[name].dead.Load()
 	}
 	if r.cfg.ManifestPath != "" {
-		if j, err := loadClusterJournal(clusterJournalPath(r.cfg.ManifestPath)); err == nil && j != nil {
+		if j, err := loadJournal(r.cfg.ManifestPath, m); err == nil && j != nil {
 			cs := &RouterCutoverStatus{From: j.From, To: j.To, DestNode: j.DestNode}
-			for _, ph := range j.Keys {
-				switch ph {
-				case "committed":
-					cs.Committed++
-				case "released":
-					cs.Released++
-				}
-			}
+			cs.Committed, cs.Released = shard.CountPhases(j.Keys)
 			st.Cutover = cs
 		}
 	}

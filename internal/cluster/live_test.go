@@ -194,7 +194,7 @@ func TestClusterLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if _, err := r.LiveRebalance(3, "b"); !errors.Is(err, boom) {
 		t.Fatalf("LiveRebalance with injected crash: err = %v, want the injected crash", err)
 	}
-	jpath := clusterJournalPath(manifestPath)
+	jpath := journalPath(manifestPath)
 	if _, err := os.Stat(jpath); err != nil {
 		t.Fatalf("cluster journal missing after the crash: %v", err)
 	}
@@ -351,9 +351,9 @@ func TestClusterFailoverRefusedDuringLiveCutover(t *testing.T) {
 	if err := Save(manifestPath, m); err != nil {
 		t.Fatal(err)
 	}
-	j := &clusterJournal{Version: 1, From: 2, To: 3, DestNode: "b",
+	j := &shard.Journal{Version: 1, From: 2, To: 3, DestNode: "b",
 		Freeze: map[int]uint64{0: 1, 1: 1}, Keys: map[string]string{}}
-	if err := saveClusterJournal(clusterJournalPath(manifestPath), j); err != nil {
+	if err := j.Save(journalPath(manifestPath)); err != nil {
 		t.Fatal(err)
 	}
 

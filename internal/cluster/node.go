@@ -111,7 +111,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	// staged splices applied) and waits for the coordinator to resume
 	// driving it.
 	if cfg.ManifestPath != "" {
-		j, err := loadClusterJournal(clusterJournalPath(cfg.ManifestPath))
+		j, err := loadJournal(cfg.ManifestPath, m)
 		if err != nil {
 			return nil, err
 		}
@@ -124,14 +124,7 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 				own = append(append([]int{}, own...), j.To-1)
 			}
 			rcfg.Subset = own
-			rcfg.Cutover = &shard.CutoverSpec{
-				From:   j.From,
-				To:     j.To,
-				Vnodes: m.Vnodes,
-				Freeze: j.Freeze,
-				Keys:   j.Keys,
-				Dest:   j.DestNode == cfg.Name,
-			}
+			rcfg.Cutover = &shard.CutoverSpec{Journal: *j, Dest: j.DestNode == cfg.Name}
 		}
 	}
 
@@ -394,8 +387,8 @@ func (n *Node) Handler() http.Handler {
 	mux.Handle(httpapi.Prefix+"/cutover/keys", stamp(n.handleCutoverKeys))
 	mux.Handle(httpapi.Prefix+"/cutover/capture", stamp(n.handleCutoverCapture))
 	mux.Handle(httpapi.Prefix+"/cutover/stage", stamp(n.handleCutoverStage))
-	mux.Handle(httpapi.Prefix+"/cutover/install", stamp(n.handleCutoverInstall))
-	mux.Handle(httpapi.Prefix+"/cutover/forget", stamp(n.handleCutoverForget))
+	mux.Handle(httpapi.Prefix+"/cutover/install", stamp(n.handleKeyVerb("install", "installed", n.rt.InstallSplice)))
+	mux.Handle(httpapi.Prefix+"/cutover/forget", stamp(n.handleKeyVerb("forget", "forgotten", n.rt.ForgetKey)))
 	mux.Handle(httpapi.Prefix+"/cutover/finish", stamp(n.handleCutoverFinish))
 	return mux
 }

@@ -897,7 +897,7 @@ func (r *Router) probeNode(addr string) (HealthReport, error) {
 // is poked over /admin/refresh so it adopts immediately rather than on
 // its next watch tick.
 func (r *Router) failover(dead string) error {
-	if j, _ := loadClusterJournal(clusterJournalPath(r.cfg.ManifestPath)); j != nil {
+	if j, _ := loadJournal(r.cfg.ManifestPath, r.Manifest()); j != nil {
 		// A live cutover is journaled: its freeze offsets and double-write
 		// topology are pinned to the current assignment. Reassigning
 		// partitions mid-cutover would strand them; the operator resumes

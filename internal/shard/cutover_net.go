@@ -5,44 +5,22 @@ import (
 	"sort"
 )
 
-// The networked live cutover: the same per-key protocol live.go drives
-// in-process, decomposed into primitives a cluster coordinator calls
-// over each node's admin surface. The division of labor:
-//
-//   - the coordinator (cluster.Router.LiveRebalance) owns the journal —
-//     it lives in the cluster directory next to the manifest, not in
-//     any runtime root — and drives the per-key sequence: capture on
-//     the donor's node, stage on the destination's, commit in the
-//     journal, install, forget, release.
-//   - each node's runtime holds the node-local invariants: BeginCutover
-//     captures freeze offsets under the route write lock (no append can
-//     land between a donor's captured offset and the start of gating),
-//     workers gate and park exactly as in-process, and CompleteCutover
-//     restamps owned partitions on the new layout.
-//
-// A node that crashes mid-cutover restarts into the journaled state via
-// Config.Cutover (the cluster layer passes the journal's spec) and then
-// serves passively until the coordinator resumes driving.
+// Runtime's Participant verbs: the runtime side of the per-key protocol
+// a CutoverDriver sequences — called directly in-process, and through
+// the /admin/v1/cutover/* surface on a fleet node. Each holds the
+// node-local invariants: BeginCutover captures freeze offsets under the
+// route write lock, workers gate and park on unreleased moving keys, and
+// CompleteCutover restamps owned partitions on the new layout. A node
+// that crashes mid-cutover restarts into the journaled state via
+// Config.Cutover and then serves passively until the coordinator resumes
+// driving.
 
-// CutoverSpec carries a networked live cutover's parameters from the
-// coordinator's journal to a node's runtime.
+// CutoverSpec is a participant's view of a live cutover: the journal
+// (freezes empty at a fresh begin — each participant captures its own
+// donors' offsets and reports them back) plus whether this runtime hosts
+// the destination partition To-1.
 type CutoverSpec struct {
-	// From and To are the old and new partition counts (To = From+1).
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Vnodes is the ring's virtual-node override the cutover was
-	// computed with (0 = default).
-	Vnodes int `json:"vnodes"`
-	// Freeze maps donor partition → first double-written offset. At the
-	// initial begin the coordinator leaves it empty — each node captures
-	// offsets for the donors it owns and reports them back; on resume it
-	// carries the journal's recorded offsets.
-	Freeze map[int]uint64 `json:"freeze,omitempty"`
-	// Keys is the journal's per-key ledger (key → "committed" |
-	// "released"); pending keys are absent.
-	Keys map[string]string `json:"keys,omitempty"`
-	// Dest marks this runtime as the destination partition's host: it
-	// opens partition To-1 on the new layout.
+	Journal
 	Dest bool `json:"dest,omitempty"`
 }
 
@@ -71,28 +49,18 @@ type CutoverStatus struct {
 	Released  int `json:"released"`
 }
 
-// advance moves a key's phase forward (never back — syncs can arrive
-// out of order) and wakes the destination's parked consumer.
-func (c *cutover) advance(key string, phase int) {
-	c.mu.Lock()
-	if phase > c.phase[key] {
-		c.phase[key] = phase
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-}
-
-// BeginCutover flips this runtime into a networked live cutover: the
-// route write lock is held while freeze offsets are captured for owned
-// donors, partition To-1 opens on the new layout (when spec.Dest), and
-// the cutover is published — from the caller's view one atomic step, so
-// no append lands between a donor's captured freeze offset and the
-// start of gating. Idempotent: re-beginning the same (From, To) syncs
-// the spec's per-key phases and reports the existing freeze offsets; a
-// runtime already serving To partitions answers Finished.
+// BeginCutover flips this runtime into a live cutover: the route write
+// lock is held while freeze offsets are captured for owned donors,
+// partition To-1 opens on the new layout (when spec.Dest), and the
+// cutover is published — from the caller's view one atomic step, so no
+// append lands between a donor's captured freeze offset and the start of
+// gating. Idempotent: re-beginning the same (From, To) syncs the spec's
+// per-key phases and reports the existing freeze offsets; a runtime
+// already serving To partitions answers Finished.
 func (rt *Runtime) BeginCutover(spec CutoverSpec) (*CutoverBeginResult, error) {
-	rt.liveMu.Lock()
-	defer rt.liveMu.Unlock()
+	if err := spec.validate(rt.cfg.Vnodes, true); err != nil {
+		return nil, fmt.Errorf("shard: cutover spec %w", err)
+	}
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
 
@@ -101,11 +69,7 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec) (*CutoverBeginResult, error) {
 			return nil, fmt.Errorf("shard: a live cutover %d -> %d is already in progress; cannot begin %d -> %d",
 				cut.from, cut.to, spec.From, spec.To)
 		}
-		for k, name := range spec.Keys {
-			ph, ok := journalPhaseNames[name]
-			if !ok {
-				return nil, fmt.Errorf("shard: unknown cutover phase %q for key %q", name, k)
-			}
+		for k, ph := range spec.Keys {
 			cut.advance(k, ph)
 		}
 		return &CutoverBeginResult{Freeze: rt.ownedFreezesLocked(cut)}, nil
@@ -116,22 +80,9 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec) (*CutoverBeginResult, error) {
 	if rt.cfg.Shards != spec.From {
 		return nil, fmt.Errorf("shard: cutover begins at %d partitions but this runtime serves %d", spec.From, rt.cfg.Shards)
 	}
-	if spec.To != spec.From+1 {
-		return nil, fmt.Errorf("shard: live cutover grows one partition at a time (%d -> %d)", spec.From, spec.To)
-	}
-	if spec.Vnodes != rt.cfg.Vnodes {
-		return nil, fmt.Errorf("shard: cutover was computed with Vnodes=%d but this runtime uses %d", spec.Vnodes, rt.cfg.Vnodes)
-	}
 
 	newRing := NewPartitionerVnodes(spec.To, rt.cfg.Vnodes)
-	cut := newCutover(spec.From, spec.To, rt.part, newRing)
-	for k, name := range spec.Keys {
-		ph, ok := journalPhaseNames[name]
-		if !ok {
-			return nil, fmt.Errorf("shard: unknown cutover phase %q for key %q", name, k)
-		}
-		cut.phase[k] = ph
-	}
+	cut := newCutover(spec.Journal, rt.part, newRing)
 
 	// Every participant's routing table grows to To — Append indexes
 	// byIdx by new-ring partitions for released keys even on pure-donor
@@ -151,45 +102,30 @@ func (rt *Runtime) BeginCutover(spec CutoverSpec) (*CutoverBeginResult, error) {
 
 	// Freeze offsets: the journal's recorded value wins (resume); owned
 	// donors without one capture their next append offset now, under the
-	// route write lock.
-	for i := 0; i < spec.From; i++ {
-		if off, ok := spec.Freeze[i]; ok {
-			cut.freeze[i] = off
-			continue
-		}
-		if pt := rt.byIdx[i]; pt != nil {
-			cut.freeze[i] = pt.bk.NextOffset()
-		}
-	}
-	// Scrub already-committed keys from owned donor tails and roll their
-	// splices forward on an owned destination (the resume-under-traffic
-	// path; a fresh begin has no committed keys).
+	// route write lock. Scrub already-committed keys from owned donor
+	// tails (the resume-under-traffic path; a fresh begin has none) and
+	// drop Spliced markers a finished earlier cutover left behind.
 	for i := 0; i < spec.From; i++ {
 		pt := rt.byIdx[i]
 		if pt == nil {
 			continue
 		}
+		if _, ok := spec.Freeze[i]; !ok {
+			cut.freeze[i] = pt.bk.NextOffset()
+		}
 		pt.feedMu.Lock()
-		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted })
+		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] != "" })
+		pt.spliced = nil
 		pt.forceSave = true
 		pt.feedMu.Unlock()
 	}
+	// Roll committed keys' splices forward on an owned destination.
 	if dest != nil {
-		moved := make([]string, 0, len(cut.phase))
-		for k := range cut.phase {
-			moved = append(moved, k)
-		}
-		sort.Strings(moved)
-		for _, k := range moved {
-			if cut.newRing.Partition(k) != spec.To-1 {
-				continue
-			}
-			if err := rt.ensureSpliced(cut, k); err != nil {
-				dest.cons.Close()
-				dest.bk.Close()
-				rt.byIdx = rt.byIdx[:spec.From]
-				return nil, err
-			}
+		if err := rt.spliceCommitted(cut); err != nil {
+			dest.cons.Close()
+			dest.bk.Close()
+			rt.byIdx = rt.byIdx[:spec.From]
+			return nil, err
 		}
 		rt.parts = append(rt.parts, dest)
 	}
@@ -214,21 +150,20 @@ func (rt *Runtime) ownedFreezesLocked(cut *cutover) map[int]uint64 {
 }
 
 // SyncCutover advances per-key phases from the coordinator's journal
-// view — the networked counterpart of the in-process setPhase calls. A
-// "released" sync wakes an owned destination's parked consumer; donor
-// tails are dropped separately via ForgetKey.
+// view. A "released" sync wakes an owned destination's parked consumer
+// and flips routing to destination-only; donor tails are dropped
+// separately via ForgetKey.
 func (rt *Runtime) SyncCutover(keys map[string]string) error {
+	if err := checkPhases(keys); err != nil {
+		return fmt.Errorf("shard: cutover sync %w", err)
+	}
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	cut := rt.cut.Load()
 	if cut == nil {
 		return fmt.Errorf("shard: no live cutover to sync (runtime serves %d partitions)", rt.cfg.Shards)
 	}
-	for k, name := range keys {
-		ph, ok := journalPhaseNames[name]
-		if !ok {
-			return fmt.Errorf("shard: unknown cutover phase %q for key %q", name, k)
-		}
+	for k, ph := range keys {
 		cut.advance(k, ph)
 	}
 	return nil
@@ -236,7 +171,9 @@ func (rt *Runtime) SyncCutover(keys map[string]string) error {
 
 // PendingMovingKeys enumerates moving keys still donor-owned on the
 // partitions this runtime serves, sorted — the coordinator's per-node
-// work list.
+// work list. It refuses with errTailNotLanded until every owned donor
+// has consumed its pre-freeze backlog: before that a moving key whose
+// records are all still in the backlog has no tail to enumerate.
 func (rt *Runtime) PendingMovingKeys() ([]string, error) {
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
@@ -244,9 +181,22 @@ func (rt *Runtime) PendingMovingKeys() ([]string, error) {
 	if cut == nil {
 		return nil, fmt.Errorf("shard: no live cutover in progress")
 	}
+	for i := 0; i < cut.from; i++ {
+		if pt := rt.byIdx[i]; pt != nil {
+			if err := pt.tailLanded(cut.freeze[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rt.pendingLocked(cut), nil
+}
+
+// pendingLocked lists owned donors' moving keys not yet committed.
+// Caller holds routeMu.
+func (rt *Runtime) pendingLocked(cut *cutover) []string {
 	var keys []string
 	seen := make(map[string]bool)
-	for i := 0; i < cut.from && i < len(rt.byIdx); i++ {
+	for i := 0; i < cut.from; i++ {
 		pt := rt.byIdx[i]
 		if pt == nil {
 			continue
@@ -255,7 +205,7 @@ func (rt *Runtime) PendingMovingKeys() ([]string, error) {
 		tails := pt.keyed.Tails()
 		pt.feedMu.Unlock()
 		for k := range tails {
-			if seen[k] || !cut.moving(k) || cut.keyPhase(k) >= phaseCommitted {
+			if seen[k] || !cut.moving(k) || cut.keyPhase(k) != "" {
 				continue
 			}
 			seen[k] = true
@@ -263,7 +213,28 @@ func (rt *Runtime) PendingMovingKeys() ([]string, error) {
 		}
 	}
 	sort.Strings(keys)
-	return keys, nil
+	return keys
+}
+
+// tailLanded reports whether the donor has consumed its full pre-freeze
+// backlog — every moving key's window tail is then final, because
+// records at or past the freeze point are never donor-fed. Not yet is
+// errTailNotLanded (retryable); a worker that stopped short never will.
+func (pt *partition) tailLanded(freeze uint64) error {
+	pt.feedMu.Lock()
+	consumed := pt.consumed
+	pt.feedMu.Unlock()
+	if consumed+1 >= freeze {
+		return nil
+	}
+	if pt.finished() {
+		if err := pt.workerErr(); err != nil {
+			return fmt.Errorf("shard: donor partition %d failed before its tail landed: %w", pt.idx, err)
+		}
+		return fmt.Errorf("shard: donor partition %d stopped %d records before its tail landed", pt.idx, freeze-1-consumed)
+	}
+	return fmt.Errorf("shard: donor partition %d has consumed through offset %d of its freeze point %d: %w",
+		pt.idx, consumed, freeze, errTailNotLanded)
 }
 
 // CaptureKey snapshots one moving key's splice from its donor: the
@@ -285,12 +256,11 @@ func (rt *Runtime) CaptureKey(key string) (KeySplice, error) {
 	if donor == nil {
 		return KeySplice{}, fmt.Errorf("shard: donor partition %d for key %q is not served by this runtime", donorIdx, key)
 	}
+	if err := donor.tailLanded(cut.freeze[donorIdx]); err != nil {
+		return KeySplice{}, err
+	}
 	donor.feedMu.Lock()
 	defer donor.feedMu.Unlock()
-	if donor.consumed+1 < cut.freeze[donorIdx] {
-		return KeySplice{}, fmt.Errorf("shard: donor partition %d has consumed through offset %d of its freeze point %d; capture once the tail lands",
-			donorIdx, donor.consumed, cut.freeze[donorIdx])
-	}
 	donor.keyed.Flush()
 	tail, _ := donor.keyed.Tail(key)
 	return KeySplice{
@@ -360,12 +330,13 @@ func (rt *Runtime) ForgetKey(key string) error {
 	return nil
 }
 
-// CompleteCutover finishes a networked live cutover on this runtime:
-// every owned partition restamps and persists on the new layout and the
-// routing ring swaps — finishCutover minus the journal removal, which
-// belongs to the coordinator (the journal is the cluster's, not this
-// root's). Idempotent: a runtime already serving to partitions answers
-// nil.
+// CompleteCutover finishes a live cutover on this runtime: every owned
+// partition restamps and persists on the new layout, staged splice files
+// are swept, and the routing ring swaps. The journal's removal belongs to
+// the coordinator. Spliced markers stay in the destination's state until
+// the next cutover begins or the runtime reopens without a journal, so a
+// crash before the coordinator's removal resumes without the swept files.
+// Idempotent: a runtime already serving to partitions answers nil.
 func (rt *Runtime) CompleteCutover(to int) error {
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
@@ -390,11 +361,6 @@ func (rt *Runtime) CompleteCutover(to int) error {
 			return fmt.Errorf("shard: persisting partition %d on the new layout: %w", pt.idx, err)
 		}
 	}
-	for _, pt := range rt.parts {
-		pt.feedMu.Lock()
-		pt.spliced = nil
-		pt.feedMu.Unlock()
-	}
 	if dest := rt.byIdx[cut.to-1]; dest != nil {
 		sweepSplices(dest.dir)
 	}
@@ -413,24 +379,16 @@ func (rt *Runtime) CompleteCutover(to int) error {
 // CutoverStatus reports the active cutover's per-key progress as seen
 // by this runtime, or nil outside one.
 func (rt *Runtime) CutoverStatus() *CutoverStatus {
+	rt.routeMu.RLock()
+	defer rt.routeMu.RUnlock()
 	cut := rt.cut.Load()
 	if cut == nil {
 		return nil
 	}
-	st := &CutoverStatus{From: cut.from, To: cut.to}
+	st := &CutoverStatus{From: cut.from, To: cut.to, Pending: len(rt.pendingLocked(cut))}
 	cut.mu.Lock()
-	for _, ph := range cut.phase {
-		switch ph {
-		case phaseCommitted:
-			st.Committed++
-		case phaseReleased:
-			st.Released++
-		}
-	}
+	st.Committed, st.Released = CountPhases(cut.phase)
 	cut.mu.Unlock()
-	if pending, err := rt.PendingMovingKeys(); err == nil {
-		st.Pending = len(pending)
-	}
 	return st
 }
 
@@ -441,6 +399,8 @@ func (rt *Runtime) CutoverStatus() *CutoverStatus {
 // at-least-once rules apply: an error means none of the lines were
 // acked by this partition and the caller retries.
 func (rt *Runtime) DirectedAppendBatch(part int, lines []string) error {
+	rt.gate.RLock()
+	defer rt.gate.RUnlock()
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	if part < 0 || part >= len(rt.byIdx) {

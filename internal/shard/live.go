@@ -15,46 +15,38 @@ import (
 )
 
 // Live rebalancing grows an OPEN runtime from N to N+1 partitions while
-// traffic keeps flowing — the online counterpart of the offline
-// stage→manifest→install protocol, decomposed per key:
+// traffic keeps flowing. One CutoverDriver (cutover.go) runs the
+// journaled per-key protocol; this runtime is its in-process
+// participant, the journal sits at the runtime root, and the runtime's
+// intake gate is the driver's gate. The runtime side of each step:
 //
-//  1. Flip. Under the route write lock: the destination partition opens
-//     on the new layout, every donor's next append offset is captured as
-//     its freeze point, and the cutover journal (freeze points + ring
-//     parameters) lands durably at the root. From this instant every
-//     moving key's intake is double-written — appended to both the
+//   - Begin: the destination opens on the new layout and every donor's
+//     next append offset is captured as its freeze point. From then on
+//     every moving key's intake is double-written — appended to both the
 //     donor's WAL (which stops feeding it at the freeze point) and the
 //     destination's WAL (whose consumer parks before any unreleased
 //     moving key's record). Non-moving keys are untouched: same
 //     partition, same detection, same acks.
-//  2. Tail landing. Each donor drains its pre-freeze backlog, so every
-//     moving key's in-flight window tail is final.
-//  3. Per key — stage: the key's WindowTail plus the donor's full event
-//     space are written to a splice file in the destination's directory
-//     (atomic, fsynced). Commit: the journal records the key as
-//     "committed" — the per-key manifest; from here the key is
-//     destination-owned and a crash rolls it forward. Install: the
-//     splice merges into the live destination (donor event ids
+//   - Per key: capture snapshots the key's WindowTail plus the donor's
+//     full event space once the donor has landed its pre-freeze backlog;
+//     stage writes it to a splice file in the destination's directory;
+//     install merges it into the live destination (donor event ids
 //     translated by template, pattern verdicts deduped, tail restored)
-//     and the donor forgets the key. Release: the journal records
-//     "released" and the destination's parked consumer wakes for the
-//     key; the router now sends it to the destination only.
-//  4. Finish. Under the route write lock: every partition restamps and
-//     persists on the new layout, the journal is removed (the end commit
-//     point — no append can land in between, the lock excludes them),
+//     and forget drops it from the donor; a "released" sync wakes the
+//     destination's parked consumer for the key.
+//   - Complete: every partition restamps and persists on the new layout
 //     and the router swaps rings.
 //
-// Crash safety inverts the offline protocol's all-or-nothing manifest
-// into a per-key ledger: reopening a root whose journal exists (the
-// runtime must come back with Shards = To) rebuilds the cutover,
-// re-applies any committed-but-unspliced key from its staged file
-// (destinations that already persisted the splice carry a Spliced marker
-// in shard-state v3 and are left alone), discards nothing a pending key
-// needs — its tail is still the donor's, records past the freeze point
-// live in the destination's WAL — and then drives the cutover to
-// completion before Open returns. Every key is on exactly one side at
-// every instant: donor until its journal entry says "committed",
-// destination after.
+// Crash safety is a per-key ledger: reopening a root whose journal
+// exists (the runtime must come back with Shards = To) opens every
+// partition into the journaled cutover (openMidCutover), re-applies any
+// committed-but-unspliced key from its staged file (destinations that
+// already persisted the splice carry a Spliced marker in shard-state v3
+// and are left alone), discards nothing a pending key needs — its tail
+// is still the donor's, records past the freeze point live in the
+// destination's WAL — and then drives the cutover to completion before
+// Open returns. Every key is on exactly one side at every instant: donor
+// until its journal entry says "committed", destination after.
 //
 // Double-written records are exactly the donor-WAL records at offsets ≥
 // the freeze point for moving keys: the donor consumes and acks them but
@@ -63,49 +55,9 @@ import (
 // routes to the partition under its stamped layout is skipped — keeps
 // redelivered copies out of detection forever.
 
-// liveJournalName is the cutover journal at the runtime root. Its
-// existence IS the cutover: the flip writes it before any double-write,
-// the finish removes it after every partition is persisted on the new
-// layout, and an Open that finds it resumes the cutover (at the new
-// shard count) before serving.
-const liveJournalName = "live-cutover.json"
-
 // spliceFilePrefix names staged per-key splice files inside the
 // destination partition's directory.
 const spliceFilePrefix = "cutover-splice-"
-
-// Per-key cutover phases, in order. A key absent from the journal is
-// pending (donor-owned).
-const (
-	phasePending = iota
-	// phaseCommitted: the journal entry exists — the key is
-	// destination-owned; recovery rolls it forward from its splice file.
-	phaseCommitted
-	// phaseReleased: the destination consumer feeds the key and the
-	// router no longer double-writes it.
-	phaseReleased
-)
-
-// journalPhaseNames maps journal strings to phases.
-var journalPhaseNames = map[string]int{"committed": phaseCommitted, "released": phaseReleased}
-
-// liveJournal is the durable cutover ledger at the runtime root.
-type liveJournal struct {
-	Version int `json:"version"`
-	From    int `json:"from"`
-	To      int `json:"to"`
-	// Vnodes is the ring's virtual-node override the cutover was computed
-	// with (0 = default); a resume under a different ring would move a
-	// different key set.
-	Vnodes int `json:"vnodes"`
-	// Freeze maps donor partition index → that donor's first
-	// double-written offset. Donor records below it are donor-fed;
-	// records at or above it belong to the destination's WAL copy.
-	Freeze map[int]uint64 `json:"freeze"`
-	// Keys is the per-key ledger: moved key → "committed" | "released".
-	// Pending keys are absent.
-	Keys map[string]string `json:"keys"`
-}
 
 // KeySplice is one staged per-key handoff: the moving key's window tail
 // plus the donor's full event space at capture time (the key's parse
@@ -121,58 +73,15 @@ type KeySplice struct {
 	Patterns []pipeline.PatternEntry `json:"patterns,omitempty"`
 }
 
-// journalPath renders the cutover journal path.
-func journalPath(root string) string { return filepath.Join(root, liveJournalName) }
-
-// loadJournal reads the cutover journal; absent means no cutover.
-func loadJournal(root string) (*liveJournal, error) {
-	data, err := os.ReadFile(journalPath(root))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading cutover journal: %w", err)
-	}
-	var j liveJournal
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, fmt.Errorf("shard: corrupt cutover journal %s: %w", journalPath(root), err)
-	}
-	if j.Freeze == nil {
-		j.Freeze = make(map[int]uint64)
-	}
-	if j.Keys == nil {
-		j.Keys = make(map[string]string)
-	}
-	return &j, nil
-}
-
-// saveJournal durably rewrites the journal (atomic + fsynced).
-func saveJournal(root string, j *liveJournal) error {
-	return writeJSONFile(journalPath(root), j)
-}
-
 // splicePath renders a key's staged splice file inside the destination
 // partition's directory (the key itself may not be filename-safe).
 func splicePath(dir, key string) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%016x.json", spliceFilePrefix, hashKey(key)))
 }
 
-// loadSplice reads a staged splice file.
-func loadSplice(path string) (KeySplice, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return KeySplice{}, fmt.Errorf("shard: reading splice file %s: %w", path, err)
-	}
-	var sp KeySplice
-	if err := json.Unmarshal(data, &sp); err != nil {
-		return KeySplice{}, fmt.Errorf("shard: corrupt splice file %s: %w", path, err)
-	}
-	return sp, nil
-}
-
-// sweepSplices removes staged splice files — run at cutover end and by
-// journal-less opens (a finish interrupted between journal removal and
-// cleanup leaves stragglers that mean nothing without the journal).
+// sweepSplices removes staged splice files — run when a participant
+// completes a cutover and by journal-less opens (a crash around the
+// finish can leave stragglers that mean nothing without the journal).
 func sweepSplices(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -188,9 +97,9 @@ func sweepSplices(dir string) {
 
 // cutover is the in-memory state of a live rebalance, published to the
 // router and every worker through Runtime.cut. Rings and freeze offsets
-// are immutable after publication; the per-key phase map, finished and
-// closed are guarded by mu, with cond waking the destination's parked
-// consumer on every transition.
+// are immutable after publication; the per-key phase ledger, finished
+// and closed are guarded by mu, with cond waking the destination's
+// parked consumer on every transition.
 type cutover struct {
 	from, to int
 	oldRing  *Partitioner
@@ -199,20 +108,27 @@ type cutover struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	phase    map[string]int
-	finished bool // set at finish; stale holders treat every key as released
-	closed   bool // set by Kill/Close so a parked consumer can exit
+	phase    map[string]string // key → PhaseCommitted | PhaseReleased; pending keys absent
+	finished bool              // set at finish; stale holders treat every key as released
+	closed   bool              // set by Kill/Close so a parked consumer can exit
 }
 
-// newCutover builds the in-memory cutover state.
-func newCutover(from, to int, oldRing, newRing *Partitioner) *cutover {
+// newCutover builds the in-memory cutover state from a journal's shape:
+// freeze offsets and phases are copied (a fresh begin has neither yet).
+func newCutover(j Journal, oldRing, newRing *Partitioner) *cutover {
 	c := &cutover{
-		from:    from,
-		to:      to,
+		from:    j.From,
+		to:      j.To,
 		oldRing: oldRing,
 		newRing: newRing,
-		freeze:  make([]uint64, from),
-		phase:   make(map[string]int),
+		freeze:  make([]uint64, j.From),
+		phase:   make(map[string]string, len(j.Keys)),
+	}
+	for i, off := range j.Freeze {
+		c.freeze[i] = off
+	}
+	for k, ph := range j.Keys {
+		c.phase[k] = ph
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -223,22 +139,25 @@ func (c *cutover) moving(key string) bool {
 	return c.oldRing.Partition(key) != c.newRing.Partition(key)
 }
 
-// keyPhase returns the key's current phase (a finished cutover reads as
-// all-released for workers still holding the pointer).
-func (c *cutover) keyPhase(key string) int {
+// keyPhase returns the key's current phase, "" while pending (a finished
+// cutover reads as all-released for workers still holding the pointer).
+func (c *cutover) keyPhase(key string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished {
-		return phaseReleased
+		return PhaseReleased
 	}
 	return c.phase[key]
 }
 
-// setPhase advances a key's phase and wakes the parked consumer.
-func (c *cutover) setPhase(key string, phase int) {
+// advance moves a key's phase forward (never back — syncs can arrive
+// out of order) and wakes the destination's parked consumer.
+func (c *cutover) advance(key, phase string) {
 	c.mu.Lock()
-	c.phase[key] = phase
-	c.cond.Broadcast()
+	if cur := c.phase[key]; cur != PhaseReleased && cur != phase {
+		c.phase[key] = phase
+		c.cond.Broadcast()
+	}
 	c.mu.Unlock()
 }
 
@@ -251,26 +170,6 @@ func (c *cutover) interrupt() {
 	c.mu.Unlock()
 }
 
-// liveOpts is the full live-rebalance parameter set; tests reach the
-// crash hook through it.
-type liveOpts struct {
-	to int
-	// hook, when set, is invoked at named cutover points: "double-write"
-	// once after the flip (key empty), then "tail-landed", "staged",
-	// "committed" and "released" per key. Returning an error aborts
-	// exactly there, leaving the journal in place — the crash-injection
-	// suite then kills the runtime and proves Open resumes it.
-	hook func(phase, key string) error
-}
-
-// callHook invokes the optional crash hook.
-func (o liveOpts) callHook(phase, key string) error {
-	if o.hook == nil {
-		return nil
-	}
-	return o.hook(phase, key)
-}
-
 // LiveRebalance grows this open runtime from its current partition count
 // N to to=N+1 under traffic: intake stays open throughout (moving keys
 // double-write during their window), non-moving keys never stop
@@ -280,11 +179,11 @@ func (o liveOpts) callHook(phase, key string) error {
 // (Open at the new shard count) resumes and finishes it. Grows one
 // partition per call — run it repeatedly for larger growth.
 func (rt *Runtime) LiveRebalance(to int) (*RebalanceReport, error) {
-	return rt.liveRebalance(liveOpts{to: to})
+	return rt.liveRebalance(to, nil)
 }
 
-// liveRebalance implements LiveRebalance with injectable crash points.
-func (rt *Runtime) liveRebalance(o liveOpts) (*RebalanceReport, error) {
+// liveRebalance implements LiveRebalance with the driver's crash hook.
+func (rt *Runtime) liveRebalance(to int, hook func(phase, key string) error) (*RebalanceReport, error) {
 	start := time.Now()
 	rt.liveMu.Lock()
 	defer rt.liveMu.Unlock()
@@ -295,65 +194,28 @@ func (rt *Runtime) liveRebalance(o liveOpts) (*RebalanceReport, error) {
 		return nil, errors.New("shard: live rebalance requires a runtime serving every partition; " +
 			"this one opened a subset (cluster node mode)")
 	}
-	rt.routeMu.RLock()
-	from := rt.cfg.Shards
-	oldRing := rt.part
-	rt.routeMu.RUnlock()
-	if o.to == from {
-		return &RebalanceReport{From: from, To: o.to, Dir: rt.cfg.Dir, AlreadyBalanced: true, Duration: time.Since(start)}, nil
+	from := rt.Shards()
+	if to == from {
+		return &RebalanceReport{From: from, To: to, Dir: rt.cfg.Dir, AlreadyBalanced: true, Duration: time.Since(start)}, nil
 	}
-	if o.to != from+1 {
-		return nil, fmt.Errorf("shard: live rebalance grows one partition at a time (%d -> %d); got -to %d", from, from+1, o.to)
+	if to != from+1 {
+		return nil, fmt.Errorf("shard: live rebalance grows one partition at a time (%d -> %d); got -to %d", from, from+1, to)
 	}
-
-	// The destination opens on the new layout before any routing changes.
-	// Its directory may be an empty shell from an earlier failed attempt;
-	// records only ever land in it after the journal exists, so an
-	// orphaned empty directory is benign.
-	newRing := NewPartitionerVnodes(o.to, rt.cfg.Vnodes)
-	dest, err := rt.openPartitionAt(from, openOpts{layout: o.to, ring: newRing})
-	if err != nil {
-		return nil, fmt.Errorf("shard: opening cutover destination partition %d: %w", from, err)
-	}
-	cut := newCutover(from, o.to, oldRing, newRing)
-
-	// The flip: freeze capture, journal write and cutover publication are
-	// one atomic step as far as producers can tell — the route write lock
-	// excludes appends, so no record lands between a donor's captured
-	// freeze offset and the start of double-writing.
-	rt.routeMu.Lock()
-	j := &liveJournal{Version: 1, From: from, To: o.to, Vnodes: rt.cfg.Vnodes,
-		Freeze: make(map[int]uint64, from), Keys: make(map[string]string)}
-	for i := 0; i < from; i++ {
-		cut.freeze[i] = rt.parts[i].bk.NextOffset()
-		j.Freeze[i] = cut.freeze[i]
-	}
-	if err := saveJournal(rt.cfg.Dir, j); err != nil {
-		rt.routeMu.Unlock()
-		dest.cons.Close()
-		dest.bk.Close()
+	d := rt.localDriver(&Journal{Version: journalVersion, From: from, To: to, Vnodes: rt.cfg.Vnodes,
+		Keys: make(map[string]string)}, hook)
+	if err := d.Begin(true); err != nil {
 		return nil, err
 	}
-	rt.parts = append(rt.parts, dest)
-	rt.byIdx = append(rt.byIdx, dest)
-	rt.cut.Store(cut)
-	rt.routeMu.Unlock()
-	go dest.run()
-	rt.reg.Gauge("shard.cutover_active").Set(1)
-
-	if err := o.callHook("double-write", ""); err != nil {
-		return nil, err
-	}
-	moved, lines, err := rt.driveCutover(cut, j, o)
+	moved, lines, err := d.Drive()
 	if err != nil {
 		return nil, err
 	}
-	if err := rt.finishCutover(cut); err != nil {
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return &RebalanceReport{
 		From:       from,
-		To:         o.to,
+		To:         to,
 		Dir:        rt.cfg.Dir,
 		MovedKeys:  moved,
 		MovedLines: lines,
@@ -361,205 +223,52 @@ func (rt *Runtime) liveRebalance(o liveOpts) (*RebalanceReport, error) {
 	}, nil
 }
 
-// driveCutover runs the per-key protocol to completion against a
-// published cutover: donors drain to their freeze points, keys the
-// journal already committed (a resumed cutover) roll forward, then every
-// pending moving key stages, commits, splices and releases. Records past
-// the freeze point never re-enter donor tails, so the pending set can
-// only shrink; the loop's empty round proves convergence.
-func (rt *Runtime) driveCutover(cut *cutover, j *liveJournal, o liveOpts) (movedKeys, movedLines int, err error) {
-	for i := 0; i < cut.from; i++ {
-		if err := rt.awaitTailLanded(rt.parts[i], cut.freeze[i]); err != nil {
-			return 0, 0, err
-		}
-	}
-
-	// Roll committed keys forward first: they are destination-owned, and
-	// pending keys' enumeration below must not see their donor tails.
-	committed := make([]string, 0)
-	cut.mu.Lock()
-	for k, ph := range cut.phase {
-		if ph == phaseCommitted {
-			committed = append(committed, k)
-		}
-	}
-	cut.mu.Unlock()
-	sort.Strings(committed)
-	for _, k := range committed {
-		if err := rt.ensureSpliced(cut, k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		if err := rt.releaseKey(cut, j, k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		if err := o.callHook("released", k); err != nil {
-			return movedKeys, movedLines, err
-		}
-		movedKeys++
-	}
-
-	for {
-		pending := rt.pendingMoving(cut)
-		if len(pending) == 0 {
-			break
-		}
-		for _, k := range pending {
-			lines, err := rt.moveKey(cut, j, o, k)
-			if err != nil {
-				return movedKeys, movedLines, err
-			}
-			movedKeys++
-			movedLines += lines
-		}
-	}
-	return movedKeys, movedLines, nil
-}
-
-// awaitTailLanded blocks until the donor has consumed its full pre-freeze
-// backlog — every moving key's window tail is then final, because records
-// at or past the freeze point are never donor-fed.
-func (rt *Runtime) awaitTailLanded(pt *partition, freeze uint64) error {
-	for {
-		pt.feedMu.Lock()
-		consumed := pt.consumed
-		pt.feedMu.Unlock()
-		if consumed+1 >= freeze {
-			return nil
-		}
-		if pt.finished() {
-			if err := pt.workerErr(); err != nil {
-				return fmt.Errorf("shard: donor partition %d failed before its tail landed: %w", pt.idx, err)
-			}
-			return fmt.Errorf("shard: donor partition %d stopped %d records before its tail landed", pt.idx, freeze-1-consumed)
-		}
-		time.Sleep(time.Millisecond)
+// localDriver drives a cutover journaled at this runtime's root, with
+// the runtime as its only participant and its intake gate as the gate.
+func (rt *Runtime) localDriver(j *Journal, hook func(phase, key string) error) *CutoverDriver {
+	return &CutoverDriver{
+		Journal:      j,
+		Path:         filepath.Join(rt.cfg.Dir, JournalName),
+		Gate:         &rt.gate,
+		Participants: []Participant{rt},
+		Owner:        func(int) Participant { return rt },
+		Hook:         hook,
+		abort:        rt.abortBegin,
 	}
 }
 
-// pendingMoving enumerates moving keys still donor-owned, sorted for a
-// deterministic cutover order. Keys whose entire history is past the
-// freeze point never appear — their records live only in the
-// destination's WAL, and the finish flip releases them wholesale.
-func (rt *Runtime) pendingMoving(cut *cutover) []string {
-	var keys []string
-	seen := make(map[string]bool)
-	for i := 0; i < cut.from; i++ {
-		pt := rt.parts[i]
-		pt.feedMu.Lock()
-		tails := pt.keyed.Tails()
-		pt.feedMu.Unlock()
-		for k := range tails {
-			if seen[k] || !cut.moving(k) || cut.keyPhase(k) >= phaseCommitted {
-				continue
-			}
-			seen[k] = true
-			keys = append(keys, k)
-		}
+// abortBegin undoes a begin whose journal never became durable: the
+// destination closes and the cutover is withdrawn. The caller holds the
+// intake gate, so nothing was double-written in between; the
+// destination directory is at most an empty shell a later attempt
+// reopens.
+func (rt *Runtime) abortBegin() {
+	rt.routeMu.Lock()
+	cut := rt.cut.Load()
+	if cut == nil {
+		rt.routeMu.Unlock()
+		return
 	}
-	sort.Strings(keys)
-	return keys
+	dest := rt.byIdx[cut.to-1]
+	rt.cut.Store(nil)
+	rt.parts = rt.parts[:len(rt.parts)-1]
+	rt.byIdx = rt.byIdx[:cut.from]
+	rt.routeMu.Unlock()
+	cut.interrupt()
+	dest.killed.Store(true)
+	dest.bk.Kill()
+	<-dest.done
+	dest.cons.Close()
+	rt.reg.Gauge("shard.cutover_active").Set(0)
 }
 
-// moveKey cuts one pending key over: capture → stage → commit → install
-// → release. Returns the number of window-tail lines that moved.
-func (rt *Runtime) moveKey(cut *cutover, j *liveJournal, o liveOpts, key string) (int, error) {
-	donor := rt.parts[cut.oldRing.Partition(key)]
-	dest := rt.parts[cut.newRing.Partition(key)]
-	if err := o.callHook("tail-landed", key); err != nil {
-		return 0, err
-	}
-
-	// Capture: flush pending windows so the tail is consistent, then
-	// snapshot the key's window state and the donor's event space. The
-	// tail is final — the donor feeds nothing past its freeze point.
-	donor.feedMu.Lock()
-	donor.keyed.Flush()
-	tail, _ := donor.keyed.Tail(key)
-	sp := KeySplice{
-		Version:  1,
-		Key:      key,
-		Tail:     tail,
-		Events:   donor.pipe.Parser().Export(),
-		Patterns: donor.pipe.Library().Export(),
-	}
-	donor.feedMu.Unlock()
-
-	// Stage: durable in the destination's directory before the commit.
-	if err := writeJSONFile(splicePath(dest.dir, key), sp); err != nil {
-		return 0, fmt.Errorf("shard: staging splice for key %q: %w", key, err)
-	}
-	if err := o.callHook("staged", key); err != nil {
-		return 0, err
-	}
-
-	// Commit: the journal entry is the per-key manifest — from here the
-	// key is destination-owned and recovery rolls it forward.
-	j.Keys[key] = "committed"
-	if err := saveJournal(rt.cfg.Dir, j); err != nil {
-		return 0, err
-	}
-	cut.setPhase(key, phaseCommitted)
-	if err := o.callHook("committed", key); err != nil {
-		return 0, err
-	}
-
-	// Install: splice into the live destination; the donor forgets the
-	// key (its next persist drops the tail — the journal, not the donor's
-	// state file, is what recovery trusts in the interim).
-	if err := rt.applySplice(dest, sp); err != nil {
-		return 0, err
-	}
-	donor.feedMu.Lock()
-	donor.keyed.TakeTails(func(k string) bool { return k == key })
-	donor.forceSave = true
-	donor.feedMu.Unlock()
-
-	if err := rt.releaseKey(cut, j, key); err != nil {
-		return 0, err
-	}
-	if err := o.callHook("released", key); err != nil {
-		return 0, err
-	}
-	return len(tail.Lines), nil
-}
-
-// applySplice merges one staged splice into the live destination:
-// donor events merge by template into the running parser, the event
-// table extends to cover new ids, pattern verdicts translate into the
-// destination's id space (its own verdicts win), and the key's window
-// tail restores. Idempotent — a destination that already carries the
-// key's Spliced marker is left alone, and re-merging the same donor
-// export translates onto the same ids.
-func (rt *Runtime) applySplice(dest *partition, sp KeySplice) error {
-	dest.feedMu.Lock()
-	defer dest.feedMu.Unlock()
-	if dest.spliced[sp.Key] {
-		return nil
-	}
-	translate, err := dest.pipe.Parser().Merge(sp.Events)
-	if err != nil {
-		return fmt.Errorf("shard: merging donor events for key %q: %w", sp.Key, err)
-	}
-	if err := dest.pipe.SyncTable(); err != nil {
-		return fmt.Errorf("shard: extending destination event table for key %q: %w", sp.Key, err)
-	}
-	lib := dest.pipe.Library()
-	lib.Import(translatePatterns(sp.Patterns, translate, lib.Contains))
-	if len(sp.Tail.Lines) > 0 || sp.Tail.SincePrev > 0 {
-		dest.keyed.Restore(map[string]pipeline.WindowTail{sp.Key: sp.Tail})
-	}
-	if dest.spliced == nil {
-		dest.spliced = make(map[string]bool)
-	}
-	dest.spliced[sp.Key] = true
-	dest.forceSave = true
-	return nil
-}
-
-// ensureSpliced rolls a committed key forward on resume: if the
-// destination's durable state predates the splice (no Spliced marker),
-// re-apply it from the staged file — guaranteed present, it was fsynced
-// before the journal entry.
+// ensureSpliced installs a committed key's staged splice into its live
+// destination: donor events merge by template into the running parser,
+// the event table extends to cover new ids, pattern verdicts translate
+// into the destination's id space (its own verdicts win), and the key's
+// window tail restores. Idempotent — a destination whose state already
+// carries the key's Spliced marker is left alone. The staged file is
+// present otherwise: it was fsynced before the journal committed the key.
 func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
 	destIdx := cut.newRing.Partition(key)
 	dest := rt.byIdx[destIdx]
@@ -572,102 +281,46 @@ func (rt *Runtime) ensureSpliced(cut *cutover, key string) error {
 	if done {
 		return nil
 	}
-	sp, err := loadSplice(splicePath(dest.dir, key))
+	path := splicePath(dest.dir, key)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("shard: reading splice file %s: %w", path, err)
 	}
-	return rt.applySplice(dest, sp)
-}
+	var sp KeySplice
+	if err := json.Unmarshal(data, &sp); err != nil {
+		return fmt.Errorf("shard: corrupt splice file %s: %w", path, err)
+	}
 
-// releaseKey records the release durably, then wakes the destination's
-// parked consumer and flips the router to destination-only for the key.
-func (rt *Runtime) releaseKey(cut *cutover, j *liveJournal, key string) error {
-	j.Keys[key] = "released"
-	if err := saveJournal(rt.cfg.Dir, j); err != nil {
-		return err
+	dest.feedMu.Lock()
+	defer dest.feedMu.Unlock()
+	if dest.spliced[key] {
+		return nil
 	}
-	cut.setPhase(key, phaseReleased)
+	translate, err := dest.pipe.Parser().Merge(sp.Events)
+	if err != nil {
+		return fmt.Errorf("shard: merging donor events for key %q: %w", key, err)
+	}
+	if err := dest.pipe.SyncTable(); err != nil {
+		return fmt.Errorf("shard: extending destination event table for key %q: %w", key, err)
+	}
+	lib := dest.pipe.Library()
+	lib.Import(translatePatterns(sp.Patterns, translate, lib.Contains))
+	if len(sp.Tail.Lines) > 0 || sp.Tail.SincePrev > 0 {
+		dest.keyed.Restore(map[string]pipeline.WindowTail{key: sp.Tail})
+	}
+	if dest.spliced == nil {
+		dest.spliced = make(map[string]bool)
+	}
+	dest.spliced[key] = true
+	dest.forceSave = true
 	return nil
 }
 
-// finishCutover ends the cutover: every partition restamps and persists
-// on the new layout, the journal is removed (the end commit point), and
-// the router swaps rings — all under the route write lock, so no append
-// can land between the journal's removal and the swap (a record
-// double-written after the journal was gone would be fed twice on the
-// next recovery).
-func (rt *Runtime) finishCutover(cut *cutover) error {
-	rt.routeMu.Lock()
-	defer rt.routeMu.Unlock()
-	for _, pt := range rt.parts {
-		pt.feedMu.Lock()
-		pt.layout = cut.to
-		pt.ring = cut.newRing
-		pt.forceSave = true
-		err := pt.flushCommit()
-		pt.feedMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("shard: persisting partition %d on the new layout: %w", pt.idx, err)
-		}
-	}
-	if err := os.Remove(journalPath(rt.cfg.Dir)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("shard: removing cutover journal: %w", err)
-	}
-	if err := syncDir(rt.cfg.Dir); err != nil {
-		return err
-	}
-	// The journal is gone — the cutover is over. Clear the markers and
-	// staged files it governed (a crash in here leaves stragglers that
-	// journal-less opens sweep).
-	for _, pt := range rt.parts {
-		pt.feedMu.Lock()
-		pt.spliced = nil
-		pt.feedMu.Unlock()
-	}
-	sweepSplices(partitionDir(rt.cfg.Dir, cut.to-1))
-	rt.part = cut.newRing
-	rt.cfg.Shards = cut.to
-	rt.reg.Gauge("shard.partitions").Set(int64(cut.to))
-	rt.reg.Gauge("shard.cutover_active").Set(0)
-	cut.mu.Lock()
-	cut.finished = true
-	cut.cond.Broadcast()
-	cut.mu.Unlock()
-	rt.cut.Store(nil)
-	return nil
-}
-
-// resumeCutover rebuilds the in-memory cutover from a journal found at
-// Open. Partitions are open but no worker is running yet: committed and
-// released keys are scrubbed from donor window state here (their donors
-// may have crashed before persisting the drop), and the cutover is
-// published so workers start under it. Open then drives it to
-// completion before returning.
-func (rt *Runtime) resumeCutover(j *liveJournal) (*cutover, error) {
-	oldRing := NewPartitionerVnodes(j.From, rt.cfg.Vnodes)
-	cut := newCutover(j.From, j.To, oldRing, rt.part)
-	for i := 0; i < j.From; i++ {
-		off, ok := j.Freeze[i]
-		if !ok {
-			return nil, fmt.Errorf("shard: cutover journal has no freeze offset for donor partition %d", i)
-		}
-		cut.freeze[i] = off
-	}
-	for k, name := range j.Keys {
-		ph, ok := journalPhaseNames[name]
-		if !ok {
-			return nil, fmt.Errorf("shard: cutover journal has unknown phase %q for key %q", name, k)
-		}
-		cut.phase[k] = ph
-	}
-	for i := 0; i < j.From; i++ {
-		pt := rt.parts[i]
-		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted })
-	}
-	// Re-apply the splice of every destination-owned key whose
-	// destination state predates it — before any worker runs, because a
-	// released key's records are not gated and must never be fed ahead of
-	// its restored tail.
+// spliceCommitted re-applies the splice of every journaled key whose
+// destination state predates it. Run before the destination's worker
+// starts: a released key's records are not gated and must never be fed
+// ahead of its restored tail.
+func (rt *Runtime) spliceCommitted(cut *cutover) error {
 	moved := make([]string, 0, len(cut.phase))
 	for k := range cut.phase {
 		moved = append(moved, k)
@@ -675,10 +328,8 @@ func (rt *Runtime) resumeCutover(j *liveJournal) (*cutover, error) {
 	sort.Strings(moved)
 	for _, k := range moved {
 		if err := rt.ensureSpliced(cut, k); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	rt.cut.Store(cut)
-	rt.reg.Gauge("shard.cutover_active").Set(1)
-	return cut, nil
+	return nil
 }

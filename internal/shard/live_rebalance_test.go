@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"logsynergy/internal/broker"
+	"logsynergy/internal/fault"
 	"logsynergy/internal/obs"
 	"logsynergy/internal/pipeline"
 )
@@ -91,7 +93,7 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 
 	stayPart := h.rt.PartitionFor(staying[0])
 	fedMidA, fedMidB, stalled := false, false, false
-	report, err := h.rt.liveRebalance(liveOpts{to: 3, hook: func(phase, key string) error {
+	report, err := h.rt.liveRebalance(3, func(phase, key string) error {
 		switch {
 		case phase == "double-write" && !fedMidA:
 			// Traffic lands the instant double-writing starts: moving keys
@@ -131,7 +133,7 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 			h.feed(t, midB)
 		}
 		return nil
-	}})
+	})
 	if err != nil {
 		t.Fatalf("LiveRebalance: %v", err)
 	}
@@ -144,7 +146,7 @@ func TestLiveRebalanceEquivalenceUnderTraffic(t *testing.T) {
 	if got := h.rt.Shards(); got != 3 {
 		t.Fatalf("Shards() = %d after live rebalance, want 3", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, liveJournalName)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, JournalName)); !os.IsNotExist(err) {
 		t.Fatalf("cutover journal still present after a completed live rebalance (stat err %v)", err)
 	}
 	if stragglers, _ := filepath.Glob(filepath.Join(dir, "p2", spliceFilePrefix+"*")); len(stragglers) != 0 {
@@ -188,13 +190,13 @@ func TestLiveRebalanceDuplicateSkipOnRedelivery(t *testing.T) {
 	h := openHarness(t, dir, 2, nil)
 	h.feed(t, pre)
 	fed := false
-	if _, err := h.rt.liveRebalance(liveOpts{to: 3, hook: func(phase, key string) error {
+	if _, err := h.rt.liveRebalance(3, func(phase, key string) error {
 		if phase == "double-write" && !fed {
 			fed = true
 			h.feed(t, mid)
 		}
 		return nil
-	}}); err != nil {
+	}); err != nil {
 		t.Fatalf("LiveRebalance: %v", err)
 	}
 	h.drain(t)
@@ -244,7 +246,7 @@ func TestLiveRebalanceDuplicateSkipOnRedelivery(t *testing.T) {
 // and the combined pre-crash + post-crash output stays bit-identical to
 // the reference.
 func TestLiveRebalanceCrashResume(t *testing.T) {
-	phases := []string{"double-write", "tail-landed", "staged", "committed", "released"}
+	phases := []string{"double-write", "tail-landed", "staged", "committed", "released", "finish"}
 	for _, phase := range phases {
 		phase := phase
 		t.Run(phase, func(t *testing.T) {
@@ -263,7 +265,7 @@ func TestLiveRebalanceCrashResume(t *testing.T) {
 			h.feed(t, pre)
 			boom := errors.New("injected crash")
 			fedMid := false
-			_, err := h.rt.liveRebalance(liveOpts{to: 3, hook: func(ph, key string) error {
+			_, err := h.rt.liveRebalance(3, func(ph, key string) error {
 				if ph == "double-write" && !fedMid {
 					// Mid-cutover traffic lands before the crash, so the
 					// resume has double-written records on both sides.
@@ -274,11 +276,11 @@ func TestLiveRebalanceCrashResume(t *testing.T) {
 					return boom
 				}
 				return nil
-			}})
+			})
 			if !errors.Is(err, boom) {
 				t.Fatalf("LiveRebalance error = %v, want injected crash", err)
 			}
-			if _, err := os.Stat(filepath.Join(dir, liveJournalName)); err != nil {
+			if _, err := os.Stat(filepath.Join(dir, JournalName)); err != nil {
 				t.Fatalf("cutover journal missing after crash at %s: %v", phase, err)
 			}
 			// Quiesce to a committed boundary (parked-on-gate counts: the
@@ -296,7 +298,7 @@ func TestLiveRebalanceCrashResume(t *testing.T) {
 			if got := h2.rt.Shards(); got != 3 {
 				t.Fatalf("Shards() = %d after resumed cutover, want 3", got)
 			}
-			if _, err := os.Stat(filepath.Join(dir, liveJournalName)); !os.IsNotExist(err) {
+			if _, err := os.Stat(filepath.Join(dir, JournalName)); !os.IsNotExist(err) {
 				t.Fatalf("cutover journal still present after resume (stat err %v)", err)
 			}
 			h2.feed(t, post)
@@ -307,6 +309,115 @@ func TestLiveRebalanceCrashResume(t *testing.T) {
 			requireEqual(t, "crash at "+phase, h2.result(), ref)
 		})
 	}
+}
+
+// A flip whose journal cannot be written aborts cleanly: the intake gate
+// was held, so nothing was double-written; the runtime keeps serving the
+// old layout, and a later attempt grows it with no trace of the first.
+func TestLiveRebalanceAbortsWithoutJournal(t *testing.T) {
+	keys := eqKeys(8)
+	pre := genEqLines(51, 800, keys)
+	mid := genEqLines(52, 400, keys)
+	post := genEqLines(53, 800, keys)
+	var stream []string
+	for _, seg := range [][]string{pre, mid, post} {
+		stream = append(stream, seg...)
+	}
+	ref := runReference(t, stream)
+
+	dir := t.TempDir()
+	h := openHarness(t, dir, 2, nil)
+	h.feed(t, pre)
+	// A directory squatting on the journal's name fails its atomic rename.
+	block := filepath.Join(dir, JournalName)
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.rt.LiveRebalance(3); err == nil {
+		t.Fatal("LiveRebalance succeeded without a durable journal")
+	}
+	if got := h.rt.Shards(); got != 2 || h.rt.CutoverStatus() != nil || len(h.rt.Owned()) != 2 {
+		t.Fatalf("after the aborted flip: %d shards, owned %v, cutover %+v", got, h.rt.Owned(), h.rt.CutoverStatus())
+	}
+	h.feed(t, mid)
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.rt.LiveRebalance(3); err != nil {
+		t.Fatalf("LiveRebalance after the abort: %v", err)
+	}
+	h.feed(t, post)
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	requireEqual(t, "live 2→3 after an aborted flip", h.result(), ref)
+}
+
+// The pending work list is final only once every donor has landed its
+// pre-freeze backlog. Donor 0 is slowed to a crawl right before the flip
+// with a backlog of staying-key records followed by the first records
+// of a key the growth moves off it: a driver that enumerated pending
+// keys before that backlog landed would finish with the key unseen, and
+// its pre-freeze records would then be skipped on both sides.
+func TestLiveRebalanceWaitsForEveryDonorTail(t *testing.T) {
+	// Before the flip donor 0 holds no moving key at all, so nothing but
+	// the landing rule makes the driver wait for it.
+	oldRing, newRing := NewPartitioner(2), NewPartitioner(3)
+	var keys []string
+	staying, late := "", ""
+	for _, k := range eqKeys(12) {
+		if oldRing.Partition(k) == 0 && newRing.Partition(k) != 0 {
+			continue
+		}
+		keys = append(keys, k)
+		if staying == "" && oldRing.Partition(k) == 0 {
+			staying = k
+		}
+	}
+	for i := 9001; late == ""; i++ {
+		if k := strconv.Itoa(i); oldRing.Partition(k) == 0 && newRing.Partition(k) == 2 {
+			late = k
+		}
+	}
+	if staying == "" {
+		t.Fatal("fixture has no key staying on partition 0")
+	}
+	pre := genEqLines(61, 1000, keys)
+	backlog := append(genEqLines(62, 300, []string{staying}), genEqLines(63, 80, []string{late})...)
+	post := genEqLines(64, 600, append(append([]string(nil), keys...), late))
+	var stream []string
+	for _, seg := range [][]string{pre, backlog, post} {
+		stream = append(stream, seg...)
+	}
+	ref := runReference(t, stream)
+	if len(ref.scores[late]) == 0 {
+		t.Fatalf("key %s scored no windows in the reference; the test proves nothing", late)
+	}
+
+	slow := fault.New(1)
+	h := openHarness(t, t.TempDir(), 2, func(cfg *Config) {
+		cfg.ShardFaults = func(i int) *fault.Registry {
+			if i == 0 {
+				return slow
+			}
+			return nil
+		}
+	})
+	h.feed(t, pre)
+	h.drain(t)
+	slow.Enable(fault.Rule{Point: broker.PointRead, Delay: 2 * time.Millisecond})
+	h.feed(t, backlog)
+	if _, err := h.rt.LiveRebalance(3); err != nil {
+		t.Fatalf("LiveRebalance: %v", err)
+	}
+	slow.Disable(broker.PointRead)
+	h.feed(t, post)
+	h.drain(t)
+	if err := h.rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	requireEqual(t, "live 2→3 over a slow donor backlog", h.result(), ref)
 }
 
 // killedConfig builds a throwaway config over dir purely to probe Open's
@@ -348,10 +459,10 @@ func TestLiveRebalanceValidation(t *testing.T) {
 // journal owns the layout transition until it completes.
 func TestOfflineRebalanceRefusesLiveJournal(t *testing.T) {
 	dir := t.TempDir()
-	j := &liveJournal{Version: 1, From: 2, To: 3,
+	j := &Journal{Version: 1, From: 2, To: 3,
 		Freeze: map[int]uint64{0: 1, 1: 1}, Keys: map[string]string{}}
-	if err := saveJournal(dir, j); err != nil {
-		t.Fatalf("saveJournal: %v", err)
+	if err := j.Save(filepath.Join(dir, JournalName)); err != nil {
+		t.Fatalf("saving journal: %v", err)
 	}
 	if _, err := RebalanceGroup(dir, "", 2, 3, ""); err == nil || !strings.Contains(err.Error(), "live cutover") {
 		t.Fatalf("offline rebalance over a live cutover: err = %v, want refusal", err)

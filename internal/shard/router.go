@@ -73,11 +73,13 @@ type PartitionResult struct {
 // land; a released moving key routes to the destination. Non-moving
 // keys are untouched.
 func (rt *Runtime) Append(line string) (part int, off uint64, err error) {
+	rt.gate.RLock()
+	defer rt.gate.RUnlock()
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	key := rt.cfg.KeyFunc(line)
 	if cut := rt.cut.Load(); cut != nil && cut.moving(key) {
-		if cut.keyPhase(key) < phaseReleased {
+		if cut.keyPhase(key) != PhaseReleased {
 			return rt.appendDouble(cut, line)
 		}
 		part = cut.newRing.Partition(key)
@@ -135,6 +137,8 @@ func (rt *Runtime) appendDouble(cut *cutover, line string) (int, uint64, error) 
 // only when both land) and released moving keys' shares route to the
 // destination.
 func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
+	rt.gate.RLock()
+	defer rt.gate.RUnlock()
 	rt.routeMu.RLock()
 	defer rt.routeMu.RUnlock()
 	cut := rt.cut.Load()
@@ -144,7 +148,7 @@ func (rt *Runtime) AppendBatch(lines []string) ([]PartitionResult, error) {
 	for _, line := range lines {
 		key := rt.cfg.KeyFunc(line)
 		if cut != nil && cut.moving(key) {
-			if cut.keyPhase(key) < phaseReleased {
+			if cut.keyPhase(key) != PhaseReleased {
 				d := cut.oldRing.Partition(key)
 				double[d] = append(double[d], line)
 			} else {

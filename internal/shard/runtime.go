@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,11 +132,15 @@ type Runtime struct {
 	// routeMu like parts.
 	byIdx []*partition
 
-	// routeMu guards the routing topology: part, parts, and cfg.Shards.
-	// Producers and accessors read-lock; a live cutover's flip and finish
-	// write-lock, making "freeze + journal + publish" and "restamp +
-	// journal removal + ring swap" atomic with respect to appends.
+	// routeMu guards the routing topology: part, parts, byIdx and
+	// cfg.Shards. Producers and accessors read-lock; a cutover's begin and
+	// complete write-lock.
 	routeMu sync.RWMutex
+	// gate is the in-process cutover driver's gate: appends read-lock it,
+	// and the driver write-locks it across "begin + journal write" and
+	// "complete + journal removal", so no append is acked before the
+	// journal is durable or lands between its removal and the ring swap.
+	gate sync.RWMutex
 	// liveMu serializes LiveRebalance calls.
 	liveMu sync.Mutex
 	// cut is the active live cutover (nil outside one). Workers and the
@@ -235,29 +240,27 @@ func Open(cfg Config) (*Runtime, error) {
 			seen[i] = true
 		}
 	}
-	j, err := loadJournal(cfg.Dir)
+	// A root journal means this runtime's own cutover was interrupted: it
+	// reopens into it over every partition and finishes it before Open
+	// returns. Config.Cutover names a fleet cutover whose journal lives
+	// with the cluster's coordinator instead.
+	j, err := LoadJournal(filepath.Join(cfg.Dir, JournalName), cfg.Vnodes)
 	if err != nil {
 		return nil, err
 	}
-	if spec := cfg.Cutover; spec != nil {
-		if j != nil {
-			return nil, fmt.Errorf("shard: %s has its own live-cutover journal and the config names a networked cutover; "+
-				"finish one before starting the other", cfg.Dir)
-		}
-		if spec.To != spec.From+1 {
-			return nil, fmt.Errorf("shard: networked cutover grows one partition at a time (%d -> %d)", spec.From, spec.To)
+	spec := cfg.Cutover
+	switch {
+	case spec != nil && j != nil:
+		return nil, fmt.Errorf("shard: %s has its own live-cutover journal and the config names a networked cutover; "+
+			"finish one before starting the other", cfg.Dir)
+	case spec != nil:
+		if err := spec.validate(cfg.Vnodes, false); err != nil {
+			return nil, fmt.Errorf("shard: networked cutover %w", err)
 		}
 		if cfg.Shards != spec.To {
 			return nil, fmt.Errorf("shard: networked cutover targets %d partitions but the runtime is opening %d", spec.To, cfg.Shards)
 		}
-		if cfg.Vnodes != spec.Vnodes {
-			return nil, fmt.Errorf("shard: networked cutover was computed with Vnodes=%d but the runtime is opening with %d", spec.Vnodes, cfg.Vnodes)
-		}
-		if len(spec.Freeze) != spec.From {
-			return nil, fmt.Errorf("shard: networked cutover records %d freeze offsets for %d donor partitions", len(spec.Freeze), spec.From)
-		}
-	}
-	if j != nil {
+	case j != nil:
 		if cfg.Subset != nil {
 			return nil, fmt.Errorf("shard: %s has a live cutover in progress; finish it with a full runtime "+
 				"(every partition) before serving a subset", cfg.Dir)
@@ -266,14 +269,8 @@ func Open(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("shard: %s has a live cutover to %d partitions in progress but the runtime is opening %d; "+
 				"reopen at %d shards to let the cutover finish", cfg.Dir, j.To, cfg.Shards, j.To)
 		}
-		if cfg.Vnodes != j.Vnodes {
-			return nil, fmt.Errorf("shard: %s's live cutover was computed with Vnodes=%d but the runtime is opening with %d; "+
-				"a different ring would move a different key set", cfg.Dir, j.Vnodes, cfg.Vnodes)
-		}
-		if len(j.Freeze) != j.From {
-			return nil, fmt.Errorf("shard: cutover journal records %d freeze offsets for %d donor partitions", len(j.Freeze), j.From)
-		}
-	} else {
+		spec = &CutoverSpec{Journal: *j, Dest: true}
+	default:
 		// Finish any offline rebalance that crashed mid-install: a committed
 		// manifest rolls forward to the new layout, an uncommitted one rolls
 		// back to the old. Either way every partition opens on one
@@ -293,10 +290,6 @@ func Open(cfg Config) (*Runtime, error) {
 	rt.cache = NewInterpCache(cfg.Interp, cfg.Metrics)
 	cfg.Metrics.Gauge("shard.partitions").Set(int64(cfg.Shards))
 
-	if j != nil {
-		rt.byIdx = make([]*partition, j.To)
-		return rt.openResuming(j)
-	}
 	own := cfg.Subset
 	if own == nil {
 		own = make([]int, cfg.Shards)
@@ -309,8 +302,21 @@ func Open(cfg Config) (*Runtime, error) {
 	}
 	cfg.Metrics.Gauge("shard.partitions_owned").Set(int64(len(own)))
 	rt.byIdx = make([]*partition, cfg.Shards)
-	if cfg.Cutover != nil {
-		return rt.openMidCutover(cfg.Cutover, own)
+	if spec != nil {
+		if err := rt.openMidCutover(spec, own); err != nil {
+			return nil, err
+		}
+		if j != nil {
+			d := rt.localDriver(j, nil)
+			if _, _, err = d.Drive(); err == nil {
+				err = d.Finish()
+			}
+			if err != nil {
+				rt.Kill()
+				return nil, fmt.Errorf("shard: resuming live cutover: %w", err)
+			}
+		}
+		return rt, nil
 	}
 	for _, i := range own {
 		pt, err := rt.openPartitionAt(i, openOpts{})
@@ -331,81 +337,22 @@ func Open(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// openResuming opens a root mid-cutover and drives the cutover to
-// completion before returning. Donors open under the journal's old
-// layout and ring; the destination opens under the new ones, keeping its
-// persisted Spliced markers. A partition stamped with either layout is
-// accepted — a crash inside the finish leaves some partitions restamped.
-func (rt *Runtime) openResuming(j *liveJournal) (*Runtime, error) {
-	oldRing := NewPartitionerVnodes(j.From, rt.cfg.Vnodes)
-	accept := func(s int) bool { return s == 0 || s == j.From || s == j.To }
-	fail := func(err error) (*Runtime, error) {
-		rt.closePartitions()
-		return nil, err
-	}
-	for i := 0; i < j.From; i++ {
-		pt, err := rt.openPartitionAt(i, openOpts{layout: j.From, ring: oldRing, acceptStamp: accept})
-		if err != nil {
-			return fail(fmt.Errorf("shard: opening partition %d: %w", i, err))
-		}
-		rt.parts = append(rt.parts, pt)
-		rt.byIdx[i] = pt
-	}
-	dest, err := rt.openPartitionAt(j.From, openOpts{layout: j.To, ring: rt.part, acceptStamp: accept, keepSpliced: true})
-	if err != nil {
-		return fail(fmt.Errorf("shard: opening cutover destination partition %d: %w", j.From, err))
-	}
-	rt.parts = append(rt.parts, dest)
-	rt.byIdx[j.From] = dest
-
-	cut, err := rt.resumeCutover(j)
-	if err != nil {
-		return fail(err)
-	}
-	for _, pt := range rt.parts {
-		go pt.run()
-	}
-	if _, _, err := rt.driveCutover(cut, j, liveOpts{to: j.To}); err != nil {
-		cut.interrupt()
-		rt.Kill()
-		return nil, fmt.Errorf("shard: resuming live cutover: %w", err)
-	}
-	if err := rt.finishCutover(cut); err != nil {
-		cut.interrupt()
-		rt.Kill()
-		return nil, fmt.Errorf("shard: resuming live cutover: %w", err)
-	}
-	return rt, nil
-}
-
-// openMidCutover opens a (possibly subset) runtime into a networked
-// live cutover described by spec: the counterpart of openResuming for
-// a cutover whose journal lives in the cluster directory. Donors open
-// under the old layout and ring with the spec's freeze offsets;
-// partition To-1, when owned, opens as the destination with its
-// persisted Spliced markers and rolls committed keys forward from
-// their staged splice files before its worker starts. Unlike
-// openResuming, the cutover is NOT driven here — the runtime serves
-// passively under it until the coordinator finishes the protocol over
-// the admin surface.
-func (rt *Runtime) openMidCutover(spec *CutoverSpec, own []int) (*Runtime, error) {
+// openMidCutover opens a (possibly subset) runtime into the live
+// cutover described by spec and starts its workers. Donors open under
+// the old layout and ring with the spec's freeze offsets; partition
+// To-1, when owned, opens as the destination with its persisted Spliced
+// markers and rolls committed keys forward from their staged splice
+// files before its worker starts. The cutover is not driven here: a
+// root journal's Open drives it next, a fleet node serves passively
+// until its coordinator resumes.
+func (rt *Runtime) openMidCutover(spec *CutoverSpec, own []int) error {
 	oldRing := NewPartitionerVnodes(spec.From, rt.cfg.Vnodes)
 	accept := func(s int) bool { return s == 0 || s == spec.From || s == spec.To }
-	fail := func(err error) (*Runtime, error) {
+	fail := func(err error) error {
 		rt.closePartitions()
-		return nil, err
+		return err
 	}
-	cut := newCutover(spec.From, spec.To, oldRing, rt.part)
-	for i := 0; i < spec.From; i++ {
-		cut.freeze[i] = spec.Freeze[i]
-	}
-	for k, name := range spec.Keys {
-		ph, ok := journalPhaseNames[name]
-		if !ok {
-			return fail(fmt.Errorf("shard: networked cutover has unknown phase %q for key %q", name, k))
-		}
-		cut.phase[k] = ph
-	}
+	cut := newCutover(spec.Journal, oldRing, rt.part)
 	for _, i := range own {
 		o := openOpts{layout: spec.From, ring: oldRing, acceptStamp: accept}
 		if i == spec.To-1 {
@@ -418,31 +365,17 @@ func (rt *Runtime) openMidCutover(spec *CutoverSpec, own []int) (*Runtime, error
 		if err != nil {
 			return fail(fmt.Errorf("shard: opening partition %d: %w", i, err))
 		}
+		// Scrub committed keys from owned donor tails: their donors may
+		// have crashed before persisting the drop.
+		if i < spec.From {
+			pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] != "" })
+		}
 		rt.parts = append(rt.parts, pt)
 		rt.byIdx[i] = pt
 	}
-	// Scrub committed keys from owned donor tails (their donors may have
-	// crashed before persisting the drop) and roll committed keys forward
-	// on an owned destination — both before any worker runs.
-	for _, pt := range rt.parts {
-		if pt.idx >= spec.From {
-			continue
-		}
-		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] >= phaseCommitted })
-	}
 	if rt.byIdx[spec.To-1] != nil {
-		moved := make([]string, 0, len(cut.phase))
-		for k := range cut.phase {
-			moved = append(moved, k)
-		}
-		sort.Strings(moved)
-		for _, k := range moved {
-			if cut.newRing.Partition(k) != spec.To-1 {
-				continue
-			}
-			if err := rt.ensureSpliced(cut, k); err != nil {
-				return fail(err)
-			}
+		if err := rt.spliceCommitted(cut); err != nil {
+			return fail(err)
 		}
 	}
 	rt.cut.Store(cut)
@@ -450,7 +383,7 @@ func (rt *Runtime) openMidCutover(spec *CutoverSpec, own []int) (*Runtime, error
 	for _, pt := range rt.parts {
 		go pt.run()
 	}
-	return rt, nil
+	return nil
 }
 
 // openOpts parameterizes openPartitionAt for mid-cutover opens; the zero
@@ -695,7 +628,7 @@ func (pt *partition) awaitRelease(key string) bool {
 		return true
 	}
 	cut.mu.Lock()
-	if cut.finished || cut.phase[key] >= phaseReleased {
+	if cut.finished || cut.phase[key] == PhaseReleased {
 		closed := cut.closed
 		cut.mu.Unlock()
 		return !closed
@@ -714,7 +647,7 @@ func (pt *partition) awaitRelease(key string) bool {
 
 	cut.mu.Lock()
 	defer cut.mu.Unlock()
-	for !cut.finished && !cut.closed && cut.phase[key] < phaseReleased {
+	for !cut.finished && !cut.closed && cut.phase[key] != PhaseReleased {
 		cut.cond.Wait()
 	}
 	return !cut.closed
