@@ -21,10 +21,11 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./...
 
-# Bench tier: serial-vs-parallel compute benchmarks and the served-shape
-# detector scoring benchmark (bench_test.go).
+# Bench tier: serial-vs-parallel compute benchmarks, the served-shape
+# detector scoring benchmark (bench_test.go) and the parse layer's
+# per-line cost (internal/drain).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchScore|BenchmarkDetectorScore|BenchmarkTrainEpoch' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchScore|BenchmarkDetectorScore|BenchmarkTrainEpoch|BenchmarkDrainParse' -benchmem . ./internal/drain/
 
 # Broker bench tier: measures WAL append throughput/latency, consume
 # throughput, and end-to-end slice-vs-broker pipeline overhead, writing
@@ -131,11 +132,14 @@ cover:
 	echo "internal/pipeline mean function coverage: $$pct%"; \
 	awk -v p="$$pct" 'BEGIN {exit !(p+0 >= 70)}' || { echo "FAIL: internal/pipeline coverage $$pct% is below the 70% floor"; exit 1; }
 
-# Fuzz-smoke tier: a short randomized pass over the parser, window and
-# cutover-journal fuzz targets (the checked-in seed corpora always run as
-# part of `make test`; this tier actually mutates).
+# Fuzz-smoke tier: a short randomized pass over the parser, its value
+# masker (against the regex oracle), the parser-state decoder, the window
+# and the cutover-journal fuzz targets (the checked-in seed corpora always
+# run as part of `make test`; this tier actually mutates).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/drain/
+	$(GO) test -run '^$$' -fuzz FuzzMask -fuzztime 10s ./internal/drain/
+	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s ./internal/drain/
 	$(GO) test -run '^$$' -fuzz FuzzSlide -fuzztime 10s ./internal/window/
 	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime 10s ./internal/shard/
 

@@ -1,6 +1,8 @@
 // Command drainctl runs the Drain parser over a log file: discover
 // templates, show per-template counts, extract parameters, and persist or
-// reuse parser state across runs.
+// reuse parser state across runs. Before parsing, IPv4 addresses (with
+// an optional :port), hex literals, long hex ids and integers are masked
+// as <*>.
 //
 // Usage:
 //

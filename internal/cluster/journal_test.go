@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,20 +21,25 @@ import (
 
 // Every malformed journal is refused wherever one is decoded: as a
 // runtime root's own journal at shard.Open, and as the fleet journal
-// next to the manifest at StartNode — before any partition opens.
+// next to the manifest at StartNode — before any partition opens. A
+// well-formed journal whose freeze point no donor WAL reaches is refused
+// as its donor opens, rather than waited on forever.
 func TestJournalRefusedAtOpenAndStartNode(t *testing.T) {
-	cases := []struct{ name, body string }{
+	cases := []struct{ name, body, want string }{
 		// A freeze map with the right length but a non-donor index: donor 1
 		// would open with freeze offset 0 and never feed its moving keys'
 		// pre-freeze records.
-		{"freeze index outside the donors", `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5,"7":9},"keys":{}}`},
-		{"freeze offset missing", `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5},"keys":{}}`},
-		{"vnodes differ from the ring", `{"version":1,"from":2,"to":3,"vnodes":7,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{}}`},
-		{"unknown phase", `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{"k":"staged"}}`},
-		{"multi-partition jump", `{"version":1,"from":2,"to":4,"vnodes":0,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{}}`},
-		{"no donors", `{"version":1,"from":0,"to":1,"vnodes":0,"dest_node":"b","freeze":{},"keys":{}}`},
-		{"newer format", `{"version":2,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{}}`},
-		{"corrupt", `{"version":1,"from":2,`},
+		{"freeze index outside the donors", `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5,"7":9},"keys":{}}`, ""},
+		{"freeze offset missing", `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5},"keys":{}}`, ""},
+		{"vnodes differ from the ring", `{"version":1,"from":2,"to":3,"vnodes":7,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{}}`, ""},
+		{"unknown phase", `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{"k":"staged"}}`, ""},
+		{"multi-partition jump", `{"version":1,"from":2,"to":4,"vnodes":0,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{}}`, ""},
+		{"no donors", `{"version":1,"from":0,"to":1,"vnodes":0,"dest_node":"b","freeze":{},"keys":{}}`, ""},
+		{"newer format", `{"version":2,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{}}`, ""},
+		{"corrupt", `{"version":1,"from":2,`, ""},
+		// Well formed, but the donors' WALs are empty: no donor can ever
+		// reach offset 5, so the cutover would wait on it forever.
+		{"freeze offset past the donor's WAL end", `{"version":1,"from":2,"to":3,"vnodes":0,"dest_node":"b","freeze":{"0":5,"1":5},"keys":{}}`, "at offset 5, past its WAL end"},
 	}
 	det, interp, e := eqEnv()
 	runtimeCfg := func(dir string) shard.Config {
@@ -56,9 +62,13 @@ func TestJournalRefusedAtOpenAndStartNode(t *testing.T) {
 			}
 			cfg := runtimeCfg(dir)
 			cfg.Shards = 3
-			if rt, err := shard.Open(cfg); err == nil {
+			rt, err := shard.Open(cfg)
+			if err == nil {
 				rt.Close()
 				t.Fatal("shard.Open accepted the journal")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("shard.Open: %v, want an error containing %q", err, c.want)
 			}
 
 			// The fleet journal next to the manifest.
@@ -82,6 +92,9 @@ func TestJournalRefusedAtOpenAndStartNode(t *testing.T) {
 				if err == nil {
 					n.Close()
 					t.Fatalf("StartNode(%s) accepted the journal", name)
+				}
+				if !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("StartNode(%s): %v, want an error containing %q", name, err, c.want)
 				}
 			}
 		})

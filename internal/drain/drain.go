@@ -9,10 +9,22 @@
 // each leaf holds a list of log groups. A message joins the group whose
 // template it is most similar to, or starts a new group; template positions
 // that disagree become the <*> wildcard parameter marker.
+//
+// Before tokenizing, the parser masks four value shapes with <*>, in one
+// left-to-right byte scan (see mask):
+//
+//   - IPv4 addresses with an optional :port, such as 10.0.0.5:8080;
+//   - hex literals, such as 0x1f;
+//   - long hex ids of eight or more hex digits, such as deadbeef;
+//   - integers, such as 42.
+//
+// The scan reproduces, byte for byte, the regular expressions
+// \b\d{1,3}(\.\d{1,3}){3}(:\d+)?\b, \b0x[0-9a-fA-F]+\b,
+// \b[0-9a-fA-F]{8,}\b and \b\d+\b applied in that order, with RE2's
+// ASCII word boundary; the package tests hold it to those expressions.
 package drain
 
 import (
-	"regexp"
 	"strings"
 	"sync"
 )
@@ -20,7 +32,10 @@ import (
 // Wildcard is the template placeholder for a parameter position.
 const Wildcard = "<*>"
 
-// Config controls tree shape and matching thresholds.
+// Config controls tree shape and matching thresholds. Value masking is
+// built in (see the package comment) and is not configurable: every
+// deployment masks the same four shapes, so templates and saved states
+// stay comparable across parsers.
 type Config struct {
 	// Depth is the total tree depth including the root and leaf levels.
 	// Depth-2 token prefixes are used for routing. Default 4.
@@ -31,25 +46,11 @@ type Config struct {
 	// MaxChildren caps the branching factor of internal nodes; overflow
 	// tokens route through a shared wildcard child. Default 100.
 	MaxChildren int
-	// Maskers are applied to the raw message before tokenization, replacing
-	// every match with the wildcard. Use them for timestamps, IPs, hex ids.
-	Maskers []*regexp.Regexp
 }
 
-// DefaultConfig returns the configuration used in the Drain paper, plus
-// maskers for the value shapes that appear in this project's log corpora.
+// DefaultConfig returns the configuration used in the Drain paper.
 func DefaultConfig() Config {
-	return Config{
-		Depth:        4,
-		SimThreshold: 0.4,
-		MaxChildren:  100,
-		Maskers: []*regexp.Regexp{
-			regexp.MustCompile(`\b\d{1,3}(\.\d{1,3}){3}(:\d+)?\b`), // IPv4, optional port
-			regexp.MustCompile(`\b0x[0-9a-fA-F]+\b`),               // hex literals
-			regexp.MustCompile(`\b[0-9a-fA-F]{8,}\b`),              // long hex ids
-			regexp.MustCompile(`\b\d+\b`),                          // integers
-		},
-	}
+	return Config{Depth: 4, SimThreshold: 0.4, MaxChildren: 100}
 }
 
 // Event is one discovered log template.
@@ -112,17 +113,19 @@ func NewDefault() *Parser { return New(DefaultConfig()) }
 // Parse routes one raw log message through the tree, creating or updating
 // a template, and returns the matched event with extracted parameters.
 func (p *Parser) Parse(message string) Match {
-	masked := p.mask(message)
+	masked := mask(message)
 	tokens := strings.Fields(masked)
+	// Masking replaces whole word runs (and the dots and colons inside an
+	// address) with <*>, never whitespace, so the raw message tokenizes 1:1
+	// with the masked one; parameters are extracted from the raw tokens to
+	// preserve the concrete values.
+	rawTokens := tokens
+	if masked != message {
+		rawTokens = strings.Fields(message)
+	}
 	if len(tokens) == 0 {
 		tokens = []string{""}
-	}
-	// Maskers replace value substrings within tokens, never whitespace, so
-	// the raw message tokenizes 1:1 with the masked one; parameters are
-	// extracted from the raw tokens to preserve the concrete values.
-	rawTokens := strings.Fields(message)
-	if len(rawTokens) != len(tokens) {
-		rawTokens = tokens // defensive: fall back to masked values
+		rawTokens = tokens
 	}
 
 	p.mu.Lock()
@@ -158,13 +161,110 @@ func (p *Parser) Parse(message string) Match {
 	return Match{EventID: best.ID, Template: best.Template, Params: extractParams(best.tokens, rawTokens)}
 }
 
-// mask applies the configured maskers to the raw message.
-func (p *Parser) mask(message string) string {
-	for _, re := range p.cfg.Maskers {
-		message = re.ReplaceAllString(message, Wildcard)
+// mask replaces every IPv4 address, hex literal, long hex id and integer
+// in message with the wildcard, returning message itself when nothing is
+// masked. Each of the four shapes covers whole maximal ASCII word runs
+// ([0-9A-Za-z_]+; bytes >= 0x80 are non-word, as for RE2's \b), and the
+// wildcard holds no word byte, so a replacement never moves another run's
+// boundaries and one pass over the runs decides every mask: at each run
+// start the address is tried first (as the first expression would), then
+// the run alone is tested against the other three shapes.
+func mask(message string) string {
+	var out strings.Builder // unallocated until the first replacement
+	copied := 0             // message[:copied] is already in out
+	for i := 0; i < len(message); {
+		if !isWord(message[i]) {
+			i++
+			continue
+		}
+		end := i + 1
+		for end < len(message) && isWord(message[end]) {
+			end++
+		}
+		next := end
+		if ip := ipv4End(message, i); ip > 0 {
+			next = ip
+		} else if !isValueWord(message[i:end]) {
+			i = end
+			continue
+		}
+		if out.Cap() == 0 {
+			out.Grow(len(message) + 4*len(Wildcard))
+		}
+		out.WriteString(message[copied:i])
+		out.WriteString(Wildcard)
+		copied, i = next, next
 	}
-	return message
+	if out.Cap() == 0 {
+		return message
+	}
+	out.WriteString(message[copied:])
+	return out.String()
 }
+
+// ipv4End returns the end of the IPv4 address that starts at word start
+// i, or -1 if none does. Octets are 1-3 digit runs; the first three must
+// be followed by '.', the last by a non-word byte or the end. A ":port"
+// is included when its digits are followed by a non-word byte or the end;
+// otherwise the address ends at the last octet.
+func ipv4End(s string, i int) int {
+	for octet := 0; ; octet++ {
+		end := digitsEnd(s, i)
+		if n := end - i; n < 1 || n > 3 {
+			return -1
+		}
+		if octet < 3 {
+			if end == len(s) || s[end] != '.' {
+				return -1
+			}
+			i = end + 1
+			continue
+		}
+		if end < len(s) && s[end] == ':' {
+			if port := digitsEnd(s, end+1); port > end+1 && (port == len(s) || !isWord(s[port])) {
+				return port
+			}
+		}
+		if end < len(s) && isWord(s[end]) {
+			return -1
+		}
+		return end
+	}
+}
+
+// digitsEnd returns the end of the run of ASCII digits starting at i.
+func digitsEnd(s string, i int) int {
+	for i < len(s) && isDigit(s[i]) {
+		i++
+	}
+	return i
+}
+
+// isValueWord reports whether a whole word run is a hex literal (0x then
+// hex digits), a long hex id (eight or more hex digits) or an integer.
+func isValueWord(w string) bool {
+	if len(w) > 2 && w[0] == '0' && w[1] == 'x' && all(w[2:], isHex) {
+		return true
+	}
+	return all(w, isDigit) || len(w) >= 8 && all(w, isHex)
+}
+
+// all reports whether every byte of s satisfies f.
+func all(s string, f func(byte) bool) bool {
+	for i := 0; i < len(s); i++ {
+		if !f(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isHex(c byte) bool { return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
+
+// isWord reports whether c is an ASCII word byte, [0-9A-Za-z_].
+func isWord(c byte) bool { return isHex(c) || 'g' <= c && c <= 'z' || 'G' <= c && c <= 'Z' || c == '_' }
 
 // route walks (and lazily builds) the internal levels, returning the leaf.
 func (p *Parser) route(tokens []string) *node {
@@ -240,9 +340,19 @@ func similarity(template, tokens []string) float64 {
 	return float64(same) / float64(len(tokens))
 }
 
-// extractParams returns the message tokens at wildcard template positions.
+// extractParams returns the message tokens at wildcard template positions
+// (nil when the template has none), sized in one allocation.
 func extractParams(template, tokens []string) []string {
-	var params []string
+	n := 0
+	for _, t := range template {
+		if t == Wildcard {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	params := make([]string, 0, n)
 	for i, t := range template {
 		if t == Wildcard {
 			params = append(params, tokens[i])

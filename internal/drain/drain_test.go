@@ -173,19 +173,6 @@ func TestParamCountMatchesWildcards(t *testing.T) {
 	}
 }
 
-func BenchmarkParse(b *testing.B) {
-	p := NewDefault()
-	msgs := make([]string, 100)
-	for i := range msgs {
-		msgs[i] = fmt.Sprintf("request %d from 10.0.%d.%d completed in %d ms with status %d",
-			i, i%256, (i*7)%256, i*3, i%5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Parse(msgs[i%len(msgs)])
-	}
-}
-
 func TestParamsAreRawValues(t *testing.T) {
 	p := NewDefault()
 	p.Parse("request served from 10.1.2.3:80 in 12 ms")

@@ -1,6 +1,9 @@
 package drain
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -61,5 +64,78 @@ func FuzzParse(f *testing.F) {
 		if m2.EventID != m.EventID {
 			t.Fatalf("re-parse of %q moved from event %d to %d", line, m.EventID, m2.EventID)
 		}
+	})
+}
+
+// FuzzLoadState throws arbitrary bytes at the saved-state decoder and
+// follows an accepted state through every consumer of the format:
+// LoadState must never panic and must refuse non-contiguous ids; an
+// accepted state must Export exactly what was saved and survive a
+// SaveState/LoadState round trip; and Merge must splice it into a warmed
+// parser idempotently, translating every donor id to a local event that
+// carries the donor's template. Seeds are checked in under
+// testdata/fuzz/FuzzLoadState.
+func FuzzLoadState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadState(bytes.NewReader(data), DefaultConfig())
+		var in []SavedEvent
+		decoded := json.NewDecoder(bytes.NewReader(data)).Decode(&in) == nil
+		contiguous := true
+		for i, se := range in {
+			contiguous = contiguous && se.ID == i
+		}
+		if err != nil {
+			if decoded && contiguous {
+				t.Fatalf("LoadState refused a decodable contiguous state: %v", err)
+			}
+			return
+		}
+		if !contiguous {
+			t.Fatalf("LoadState accepted non-contiguous ids %+v", in)
+		}
+		out := p.Export()
+		if !slices.Equal(out, in) {
+			t.Fatalf("Export %+v != loaded %+v", out, in)
+		}
+		var buf bytes.Buffer
+		if err := p.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p2, err := LoadState(&buf, DefaultConfig())
+		if err != nil {
+			t.Fatalf("reloading a saved state: %v", err)
+		}
+		if again := p2.Export(); !slices.Equal(again, out) {
+			t.Fatalf("save/load round trip %+v != %+v", again, out)
+		}
+		p.Parse("service heartbeat ok seq 42") // an imported tree must keep parsing
+
+		warm := NewDefault()
+		warm.Parse("service heartbeat ok seq 42")
+		warm.Parse("user alice login from 10.0.0.5")
+		tr, err := warm.Merge(out)
+		if err != nil {
+			t.Fatalf("Merge: %v", err)
+		}
+		events := warm.Events()
+		for _, se := range out {
+			local, ok := tr[se.ID]
+			if !ok || local < 0 || local >= len(events) {
+				t.Fatalf("donor id %d translated to %d (ok=%v) with %d local events", se.ID, local, ok, len(events))
+			}
+			if events[local].Template != se.Template {
+				t.Fatalf("donor id %d (%q) translated to local %d (%q)", se.ID, se.Template, local, events[local].Template)
+			}
+		}
+		tr2, err := warm.Merge(out)
+		if err != nil || warm.NumEvents() != len(events) {
+			t.Fatalf("re-merge: err %v, %d events, want %d", err, warm.NumEvents(), len(events))
+		}
+		for id, local := range tr {
+			if tr2[id] != local {
+				t.Fatalf("re-merge moved donor id %d from %d to %d", id, local, tr2[id])
+			}
+		}
+		warm.Parse("user bob login from 10.0.0.6")
 	})
 }

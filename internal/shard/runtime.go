@@ -365,13 +365,19 @@ func (rt *Runtime) openMidCutover(spec *CutoverSpec, own []int) error {
 		if err != nil {
 			return fail(fmt.Errorf("shard: opening partition %d: %w", i, err))
 		}
-		// Scrub committed keys from owned donor tails: their donors may
-		// have crashed before persisting the drop.
-		if i < spec.From {
-			pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] != "" })
-		}
 		rt.parts = append(rt.parts, pt)
 		rt.byIdx[i] = pt
+		if i >= spec.From {
+			continue
+		}
+		// A freeze point past the donor's WAL end is never reached: the
+		// cutover would wait on it forever.
+		if end := pt.bk.NextOffset(); cut.freeze[i] > end {
+			return fail(fmt.Errorf("shard: journal freezes donor partition %d at offset %d, past its WAL end %d", i, cut.freeze[i], end))
+		}
+		// Scrub committed keys from owned donor tails: their donors may
+		// have crashed before persisting the drop.
+		pt.keyed.TakeTails(func(k string) bool { return cut.phase[k] != "" })
 	}
 	if rt.byIdx[spec.To-1] != nil {
 		if err := rt.spliceCommitted(cut); err != nil {
